@@ -549,20 +549,19 @@ handleRequest(const SweepRequest &req, const ServeOptions &opts)
         for (PointJob &j : jobs)
             j.cached = cache->contains(j.key);
 
-    TaskPool pool(budgetedSweepThreads(opts.threads, opts.partitions));
+    TaskPool pool(opts.threads);
     for (PointJob &j : jobs) {
-        pool.submit([&j, &req, &opts] {
+        pool.submit([&j, &req] {
             if (j.isBaseline)
                 j.result = j.isSynth
                                ? runSynthSequential(j.synth, req.machine)
                                : runSequential(j.app, req.machine);
             else if (j.isSynth)
-                j.result =
-                    runSynthScheme(j.synth, j.scheme, req.machine,
-                                   req.faults, opts.partitions);
+                j.result = runSynthScheme(j.synth, j.scheme, req.machine,
+                                          req.faults);
             else
-                j.result = runScheme(j.app, j.scheme, req.machine,
-                                     req.faults, opts.partitions);
+                j.result =
+                    runScheme(j.app, j.scheme, req.machine, req.faults);
         });
     }
     pool.wait();

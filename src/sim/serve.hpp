@@ -8,7 +8,7 @@
  * request names a sweep slice — machine × workloads × schemes × reps ×
  * faults — and gets one response line back. Novel points are sharded
  * across a TaskPool under the same thread budget as batch sweeps
- * (budgetedSweepThreads); points already in the installed ResultCache
+ * (resolveThreadCount); points already in the installed ResultCache
  * are answered from the store, and every response carries the
  * request's hit/miss/recompute tallies.
  *
@@ -41,8 +41,6 @@ namespace tlsim::sim {
 struct ServeOptions {
     /** Sweep thread budget; 0 = TLSIM_THREADS / hardware default. */
     unsigned threads = 0;
-    /** PDES partitions per point; 0 = engine default. */
-    unsigned partitions = 0;
 };
 
 /**

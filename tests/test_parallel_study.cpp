@@ -2,7 +2,8 @@
  * @file
  * Tests for the TaskPool scheduler and the parallel sweep runner's
  * determinism contract: a fixed-seed Figure-9-style sweep must produce
- * byte-identical results at 1, 2 and 8 threads.
+ * byte-identical results at 1, 2 and 8 threads, with the in-order and
+ * the out-of-order core model.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/task_pool.hpp"
@@ -173,7 +175,7 @@ namespace {
 /** Small but non-trivial Figure-9-style sweep: two apps, the eager/
  *  lazy x separation grid, replicated. */
 std::vector<sim::AppStudy>
-miniFigure9(unsigned threads)
+miniFigure9(unsigned threads, mem::CoreModelKind core)
 {
     apps::AppParams tree = apps::tree();
     tree.numTasks = 32;
@@ -188,8 +190,9 @@ miniFigure9(unsigned threads)
         {tls::Separation::MultiTMV, tls::Merging::EagerAMM, false},
         {tls::Separation::MultiTMV, tls::Merging::LazyAMM, false},
     };
-    return sim::runStudySweep({tree, euler}, schemes,
-                              mem::MachineParams::numa16(), 2, threads);
+    mem::MachineParams machine = mem::MachineParams::numa16();
+    machine.coreModel = core;
+    return sim::runStudySweep({tree, euler}, schemes, machine, 2, threads);
 }
 
 void
@@ -220,28 +223,37 @@ expectIdenticalResults(const tls::RunResult &a, const tls::RunResult &b)
 
 TEST(ParallelStudy, ByteIdenticalAcrossThreadCounts)
 {
-    std::vector<sim::AppStudy> base = miniFigure9(1);
-    std::string base_figure = sim::renderFigure("determinism", base);
+    // The OoO core mutates remote cores synchronously on every
+    // speculative store (LSQ snoop), so it gets the same contract.
+    for (mem::CoreModelKind core :
+         {mem::CoreModelKind::InOrder, mem::CoreModelKind::OutOfOrder}) {
+        const char *name = mem::coreModelName(core);
+        std::vector<sim::AppStudy> base = miniFigure9(1, core);
+        std::string base_figure = sim::renderFigure("determinism", base);
 
-    for (unsigned threads : {2u, 8u}) {
-        std::vector<sim::AppStudy> got = miniFigure9(threads);
-        ASSERT_EQ(got.size(), base.size()) << "threads=" << threads;
-        for (std::size_t a = 0; a < base.size(); ++a) {
-            EXPECT_EQ(got[a].seqTime, base[a].seqTime);
-            ASSERT_EQ(got[a].outcomes.size(), base[a].outcomes.size());
-            for (std::size_t s = 0; s < base[a].outcomes.size(); ++s) {
-                const sim::SchemeOutcome &x = base[a].outcomes[s];
-                const sim::SchemeOutcome &y = got[a].outcomes[s];
-                // Bitwise-equal doubles: summation order is fixed.
-                EXPECT_EQ(x.meanExecTime, y.meanExecTime);
-                EXPECT_EQ(x.meanSquashes, y.meanSquashes);
-                EXPECT_EQ(x.speedup, y.speedup);
-                expectIdenticalResults(x.result, y.result);
+        for (unsigned threads : {2u, 8u}) {
+            std::vector<sim::AppStudy> got = miniFigure9(threads, core);
+            ASSERT_EQ(got.size(), base.size())
+                << name << " threads=" << threads;
+            for (std::size_t a = 0; a < base.size(); ++a) {
+                EXPECT_EQ(got[a].seqTime, base[a].seqTime);
+                ASSERT_EQ(got[a].outcomes.size(),
+                          base[a].outcomes.size());
+                for (std::size_t s = 0; s < base[a].outcomes.size();
+                     ++s) {
+                    const sim::SchemeOutcome &x = base[a].outcomes[s];
+                    const sim::SchemeOutcome &y = got[a].outcomes[s];
+                    // Bitwise-equal doubles: summation order is fixed.
+                    EXPECT_EQ(x.meanExecTime, y.meanExecTime);
+                    EXPECT_EQ(x.meanSquashes, y.meanSquashes);
+                    EXPECT_EQ(x.speedup, y.speedup);
+                    expectIdenticalResults(x.result, y.result);
+                }
             }
+            // The rendered figure table must match byte for byte.
+            EXPECT_EQ(sim::renderFigure("determinism", got), base_figure)
+                << name << " threads=" << threads;
         }
-        // The rendered figure table must match byte for byte.
-        EXPECT_EQ(sim::renderFigure("determinism", got), base_figure)
-            << "threads=" << threads;
     }
 }
 
@@ -308,4 +320,42 @@ TEST(ParallelStudy, SweepMatchesPerAppStudies)
         expectIdenticalResults(sweep[0].outcomes[s].result,
                                single.outcomes[s].result);
     }
+}
+
+// ---------------------------------------------------------------
+// Out-of-order core (docs/OOO_CORE.md)
+// ---------------------------------------------------------------
+
+TEST(ParallelStudy, OooCoreChangesTimingButNotFinalMemoryState)
+{
+    // The core model is a timing model: it must change execTime (the
+    // flag is not ignored) and leave the committed memory image, a
+    // pure function of the program, untouched.
+    const tls::SchemeConfig mv_lazy{tls::Separation::MultiTMV,
+                                    tls::Merging::LazyAMM, false};
+    apps::AppParams tree = apps::tree();
+    tree.numTasks = 48;
+    tree.instrPerTask = 3000;
+    mem::MachineParams numa = mem::MachineParams::numa16();
+    tls::RunResult inorder = sim::runScheme(tree, mv_lazy, numa);
+    numa.coreModel = mem::CoreModelKind::OutOfOrder;
+    tls::RunResult ooo = sim::runScheme(tree, mv_lazy, numa);
+    ASSERT_GT(ooo.execTime, 0u);
+    EXPECT_NE(ooo.execTime, inorder.execTime);
+    EXPECT_EQ(ooo.memStateHash, inorder.memStateHash);
+
+    // Same oracle on a squashing point, so the OoO LSQ snoop and
+    // squash recovery are on the path.
+    apps::SynthSpec spec;
+    std::string err;
+    ASSERT_TRUE(apps::SynthSpec::parse(
+        "kind=graph,tasks=48,conflict=0.2,seed=5", &spec, &err))
+        << err;
+    mem::MachineParams mesh = mem::MachineParams::mesh(64);
+    tls::RunResult synth_inorder = sim::runSynthScheme(spec, mv_lazy, mesh);
+    mesh.coreModel = mem::CoreModelKind::OutOfOrder;
+    tls::RunResult synth_ooo = sim::runSynthScheme(spec, mv_lazy, mesh);
+    EXPECT_GT(synth_ooo.squashEvents, 0u);
+    EXPECT_NE(synth_ooo.execTime, synth_inorder.execTime);
+    EXPECT_EQ(synth_ooo.memStateHash, synth_inorder.memStateHash);
 }

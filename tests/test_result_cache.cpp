@@ -157,10 +157,10 @@ TEST(PointKey, EveryBehavioralFieldPerturbsTheKey)
 
 TEST(PointKey, ExecutionOnlyKnobsDoNotFeedTheKey)
 {
-    // Threads, partitions and trace settings are deliberately not
-    // parameters of appPointKey/synthPointKey at all — the signature
-    // is the contract. What CAN be checked: reporting-only AppParams
-    // fields must not perturb the key.
+    // Threads and trace settings are deliberately not parameters of
+    // appPointKey/synthPointKey at all — the signature is the
+    // contract. What CAN be checked: reporting-only AppParams fields
+    // must not perturb the key.
     const apps::AppParams app = tinyApp();
     const mem::MachineParams machine = mem::MachineParams::numa16();
     const sim::PointKey base =
@@ -647,7 +647,7 @@ TEST(ServeLoop, ReplicationsMatchBatchSweep)
     sim::ResultCache cache(dir.path);
     sim::setResultCache(&cache);
     std::vector<sim::AppStudy> studies = sim::runStudySweep(
-        {tree}, {lazyMv()}, mem::MachineParams::numa16(), 2, 2, {}, 0);
+        {tree}, {lazyMv()}, mem::MachineParams::numa16(), 2, 2);
     sim::setResultCache(nullptr);
     ASSERT_EQ(studies.size(), 1u);
     const auto stores_after_sweep = cache.stats().stores;

@@ -198,14 +198,20 @@ TEST_F(TraceTest, RingWrapDropsOldestAndCounts)
 namespace {
 
 trace::TraceFile
-traceTinyStudy(unsigned threads)
+traceTinyStudy(unsigned threads,
+               mem::CoreModelKind core = mem::CoreModelKind::InOrder)
 {
+    mem::MachineParams machine = mem::MachineParams::numa16();
+    machine.coreModel = core;
     trace::reset();
     trace::Options opts;
-    opts.mask = trace::kMaskAudit;
+    // The OoO run also keeps its per-op core records, the strongest
+    // per-event observable of the relaxed-order model.
+    opts.mask = core == mem::CoreModelKind::OutOfOrder
+                    ? trace::kMaskAudit | trace::kMaskCore
+                    : trace::kMaskAudit;
     trace::start(opts);
-    sim::runAppStudy(tinyApp(), tinySchemes(),
-                     mem::MachineParams::numa16(), 2, threads);
+    sim::runAppStudy(tinyApp(), tinySchemes(), machine, 2, threads);
     trace::stop();
     trace::TraceFile file = trace::drainFile();
     trace::reset();
@@ -218,15 +224,28 @@ TEST(TraceParallelStudy, TraceIsIdenticalAtAnyThreadCount)
 {
     if (!trace::builtIn())
         GTEST_SKIP() << "built with TLSIM_TRACE=OFF";
-    trace::TraceFile one = traceTinyStudy(1);
-    trace::TraceFile eight = traceTinyStudy(8);
-    ASSERT_GT(one.records.size(), 0u);
-    EXPECT_EQ(one.dropped, 0u);
-    EXPECT_EQ(eight.dropped, 0u);
-    ASSERT_EQ(one.records.size(), eight.records.size());
-    EXPECT_TRUE(std::equal(one.records.begin(), one.records.end(),
-                           eight.records.begin()))
-        << "drained trace depends on the pool thread count";
+    for (mem::CoreModelKind core :
+         {mem::CoreModelKind::InOrder, mem::CoreModelKind::OutOfOrder}) {
+        const char *name = mem::coreModelName(core);
+        trace::TraceFile one = traceTinyStudy(1, core);
+        trace::TraceFile eight = traceTinyStudy(8, core);
+        ASSERT_GT(one.records.size(), 0u) << name;
+        EXPECT_EQ(one.dropped, 0u) << name;
+        EXPECT_EQ(eight.dropped, 0u) << name;
+        if (core == mem::CoreModelKind::OutOfOrder) {
+            EXPECT_TRUE(std::any_of(
+                one.records.begin(), one.records.end(),
+                [](const trace::Record &r) {
+                    return r.kind == std::uint8_t(trace::Kind::CoreIssue);
+                }))
+                << "OoO trace carries no core records";
+        }
+        ASSERT_EQ(one.records.size(), eight.records.size()) << name;
+        EXPECT_TRUE(std::equal(one.records.begin(), one.records.end(),
+                               eight.records.begin()))
+            << "drained " << name
+            << " trace depends on the pool thread count";
+    }
 }
 
 // --------------------------------------------------------------------

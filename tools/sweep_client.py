@@ -55,8 +55,6 @@ def serve_command(args: argparse.Namespace) -> list[str]:
         cmd.append(f"--cache-verify={args.cache_verify}")
     if args.threads is not None:
         cmd.append(f"--threads={args.threads}")
-    if args.partitions is not None:
-        cmd.append(f"--partitions={args.partitions}")
     return cmd
 
 
@@ -144,7 +142,6 @@ def main() -> int:
         help="send the request N times through one server",
     )
     ap.add_argument("--threads", type=int, help="server sweep threads")
-    ap.add_argument("--partitions", type=int, help="PDES partitions")
     ap.add_argument(
         "--json",
         action="store_true",

@@ -6,7 +6,7 @@
  * never has to filter them.
  *
  *   build/tools/tlsim_serve --cache-dir=.tlsim-cache [--cache-verify=P]
- *                           [--threads=N] [--partitions=N]
+ *                           [--threads=N]
  *
  * Without --cache-dir (or TLSIM_CACHE in the environment) the service
  * still works but recomputes every point — caching is the point, so a
@@ -56,13 +56,10 @@ main(int argc, char **argv)
             verify_fraction = std::atof(value.c_str());
         } else if (parseFlag(argv[i], "--threads", &value)) {
             opts.threads = unsigned(std::atoi(value.c_str()));
-        } else if (parseFlag(argv[i], "--partitions", &value)) {
-            opts.partitions = unsigned(std::atoi(value.c_str()));
         } else if (std::strcmp(argv[i], "--help") == 0) {
             std::fprintf(stderr,
                          "usage: tlsim_serve [--cache-dir=DIR] "
-                         "[--cache-verify=P] [--threads=N] "
-                         "[--partitions=N]\n"
+                         "[--cache-verify=P] [--threads=N]\n"
                          "Reads JSON-line sweep requests from stdin "
                          "(see src/sim/serve.hpp), answers on stdout.\n");
             return 0;
