@@ -47,8 +47,8 @@ class EventQueue
   public:
     /**
      * Inline capacity of event callbacks. 48 bytes covers every
-     * simulator callback (the largest captures `this` plus a moved-in
-     * `std::function` continuation); larger callables still work but
+     * simulator callback (the largest is CoreModel::wait's `this`
+     * plus its continuation lambda); larger callables still work but
      * fall back to one heap allocation.
      */
     static constexpr std::size_t kInlineCallbackBytes = 48;

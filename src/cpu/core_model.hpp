@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 
 #include "common/event_queue.hpp"
 #include "common/stats.hpp"
@@ -175,7 +176,27 @@ class CoreModel
     /** Drop model-specific in-flight state (dispatch reset / abort). */
     virtual void resetTaskState() = 0;
 
-    void wait(Cycle cycles, CycleKind kind, std::function<void()> then);
+    /**
+     * Bill @p cycles as @p kind, then run @p then. The continuation is
+     * type-erased once, straight into the event queue's inline slot.
+     */
+    template <typename F>
+    void
+    wait(Cycle cycles, CycleKind kind, F &&then)
+    {
+        if (cycles > (Cycle(1) << 40))
+            waitOverflow(cycles, kind);
+        waitStart_ = eq_.now();
+        waitKind_ = kind;
+        pendingEvent_ = eq_.scheduleIn(
+            cycles, [this, then = std::forward<F>(then)]() mutable {
+                pendingEvent_ = 0;
+                breakdown_.add(waitKind_, eq_.now() - waitStart_);
+                then();
+            });
+    }
+    /** wait()'s implausible-duration diagnostic (an overflow bug). */
+    [[noreturn]] void waitOverflow(Cycle cycles, CycleKind kind) const;
     void billIdle();
     void enterIdle();
 };

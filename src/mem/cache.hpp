@@ -66,7 +66,8 @@ class VersionedCache
 {
   public:
     /**
-     * @param geo cache geometry
+     * @param geo cache geometry; its set count must be a power of two
+     *        (the set index is a mask, not a division)
      * @param multi_version allow several versions of one line per set
      *        (MultiT&MV). When false, at most one frame per line
      *        address may be resident.
@@ -74,6 +75,9 @@ class VersionedCache
     VersionedCache(CacheGeometry geo, bool multi_version);
 
     const CacheGeometry &geometry() const { return geo_; }
+
+    /** Set holding @p line: geometry().setIndex(line), without a divide. */
+    unsigned setIndex(Addr line) const { return unsigned(line & setMask_); }
     bool multiVersion() const { return multiVersion_; }
 
     /** Find the frame holding exactly (line, version), or nullptr. */
@@ -141,9 +145,14 @@ class VersionedCache
   private:
     CacheGeometry geo_;
     bool multiVersion_;
+    Addr setMask_; // numSets - 1
     std::vector<CacheLineState> frames_; // numSets * assoc
 
-    CacheLineState *setBase(Addr line);
+    CacheLineState *
+    setBase(Addr line)
+    {
+        return &frames_[std::size_t(setIndex(line)) * geo_.assoc];
+    }
     static int evictClass(const CacheLineState &frame);
 };
 

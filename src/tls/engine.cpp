@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "common/log.hpp"
 #include "common/task_pool.hpp"
@@ -119,6 +120,12 @@ SpeculationEngine::SpeculationEngine(const EngineConfig &cfg,
         else
             cores_.push_back(std::make_unique<cpu::Core>(
                 p, eq_, core_params, *this, *this));
+    }
+    // The sequential baseline runs on processor 0 alone, so it builds
+    // processor 0's caches only: on mesh64 the other 63 would be 20 MB
+    // of frames zeroed (and page-faulted) per run and never touched.
+    unsigned cache_procs = cfg_.sequential ? 1 : m.numProcs;
+    for (ProcId p = 0; p < cache_procs; ++p) {
         l1_.push_back(
             std::make_unique<mem::VersionedCache>(m.l1, false));
         l2_.push_back(std::make_unique<mem::VersionedCache>(
@@ -305,7 +312,13 @@ SpeculationEngine::tryDispatch(ProcId proc)
     r.state = TaskState::Running;
     r.proc = proc;
     ++r.incarnation;
-    r.resetFootprint();
+    if (r.incarnation == 1 && !footprintPool_.empty()) {
+        // A squashed task keeps its storage; a first dispatch adopts
+        // the storage of the latest commit.
+        r.footprint = std::move(footprintPool_.back());
+        footprintPool_.pop_back();
+    }
+    r.footprint.clear();
     r.execStart = eq_.now();
     if (!cfg_.sequential)
         specTasksDelta(+1);
@@ -329,8 +342,9 @@ SpeculationEngine::onTaskFinished(ProcId proc, TaskId id)
         r.state = TaskState::Committed;
         TLSIM_TRACE_EVENT(trace::Kind::TaskCommit, proc, id, 0,
                           r.incarnation);
-        footprintWords_ += r.writtenWords.size();
-        footprintPrivWords_ += r.privWords;
+        footprintWords_ += r.footprint.writtenWords.size();
+        footprintPrivWords_ += r.footprint.privWords;
+        footprintPool_.push_back(std::exchange(r.footprint, {}));
         execDurSum_ += r.execEnd - r.execStart;
         ++commitSamples_;
         if (id == workload_.numTasks()) {
@@ -486,7 +500,7 @@ SpeculationEngine::mergeTaskState(TaskId id, Cycle start)
     Cycle issue = start + m.commitFixedCycles;
     Cycle oneway = 0;
 
-    for (Addr line : r.dirtyLines) {
+    for (Addr line : r.footprint.dirtyLines) {
         VersionInfo *v = versions_.find(line, r.tag());
         if (!v || v->inMemory)
             continue;
@@ -524,19 +538,29 @@ SpeculationEngine::finishCommit(TaskId id)
     execDurSum_ += r.execEnd - r.execStart;
     commitDurSum_ += r.commitEnd - r.commitStart;
     ++commitSamples_;
-    footprintWords_ += r.writtenWords.size();
-    footprintPrivWords_ += r.privWords;
 
     if (uncommittedFinished_[r.proc] == 0)
         panic("finishCommit: uncommittedFinished underflow");
     --uncommittedFinished_[r.proc];
     specTasksDelta(-1);
 
-    for (Addr line : r.dirtyLines) {
+    for (Addr line : r.footprint.dirtyLines) {
         VersionInfo *v = versions_.find(line, r.tag());
         if (!v)
             continue;
         v->committed = true;
+        // Written-footprint statistic. Every store that did not stall
+        // set its word's bit in this task's own version, and own
+        // versions survive until commit, so the mask bits are exactly
+        // the distinct words the task wrote.
+        for (unsigned w = 0; w < mem::kWordsPerLine; ++w) {
+            if (!(v->writeMask & (1u << w)))
+                continue;
+            ++footprintWords_;
+            if (workload_.isPrivAddr(line * mem::kLineBytes +
+                                     w * mem::kWordBytes))
+                ++footprintPrivWords_;
+        }
         switch (cfg_.scheme.merging) {
           case Merging::EagerAMM: {
             // Data was written back during the merge.
@@ -591,7 +615,8 @@ SpeculationEngine::finishCommit(TaskId id)
     if (cfg_.scheme.merging == Merging::FMM)
         logs_[r.proc].dropTask(id);
 
-    detector_.dropReader(id, r.readWords);
+    detector_.dropReader(id, r.footprint.readWords);
+    footprintPool_.push_back(std::exchange(r.footprint, {}));
 
     // Wake MultiT&SV stalls blocked on this task's version.
     auto it = svWaiters_.find(id);
@@ -836,18 +861,18 @@ SpeculationEngine::squashOne(TaskId id)
     specTasksDelta(-1);
 
     mem::VersionTag tag = r.tag();
-    for (Addr line : r.dirtyLines) {
+    for (Addr line : r.footprint.dirtyLines) {
         l2_[p]->invalidateVersion(line, tag);
         l1_[p]->invalidateVersion(line, tag);
         overflow_[p].remove(line, tag);
         versions_.remove(line, tag);
     }
 
-    detector_.dropReader(id, r.readWords);
+    detector_.dropReader(id, r.footprint.readWords);
     if (cfg_.scheme.predictsValues())
         vlog_.dropTask(id);
     svWaiters_.erase(id);
-    r.resetFootprint();
+    r.footprint.clear();
     r.state = TaskState::Pending;
     r.proc = kNoProc;
 }

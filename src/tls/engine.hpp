@@ -124,6 +124,7 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
     std::vector<std::unique_ptr<cpu::CoreModel>> cores_;
     /** True when any core is the OoO model (enables store snooping). */
     bool oooActive_ = false;
+    /** Per-processor caches (processor 0's only in sequential mode). */
     std::vector<std::unique_ptr<mem::VersionedCache>> l1_;
     std::vector<std::unique_ptr<mem::VersionedCache>> l2_;
     std::unique_ptr<mem::VersionedCache> l3_; // CMP shared
@@ -144,6 +145,12 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
     VersionMap versions_;
     ViolationDetector detector_;
     std::vector<TaskRecord> tasks_; // index id-1
+    /**
+     * Footprint storage released by committed tasks, taken by first
+     * dispatches (LIFO): live storage tracks the speculative window,
+     * not the task count.
+     */
+    std::vector<TaskFootprint> footprintPool_;
     TaskScheduler scheduler_;
     TaskId nextCommit_ = 1;
     bool commitInProgress_ = false;

@@ -448,15 +448,15 @@ SpeculationEngine::noteLoadRetire(ProcId proc, Addr addr, Cycle now)
     Addr word = m.wordGranularityDetection ? mem::wordAddr(addr)
                                            : mem::lineAddr(addr);
     TaskRecord &r = rec(task);
-    if (r.readWords.insert(word)) {
-        TaskId observed =
-            m.wordGranularityDetection
-                ? versions_.latestWordWriter(line, mem::wordBit(addr),
-                                             task)
-                : (versions_.latestVisible(line, task)
-                       ? versions_.latestVisible(line, task)
-                             ->tag.producer
-                       : 0);
+    if (r.footprint.readWords.insert(word)) {
+        TaskId observed;
+        if (m.wordGranularityDetection) {
+            observed = versions_.latestWordWriter(
+                line, mem::wordBit(addr), task);
+        } else {
+            VersionInfo *vv = versions_.latestVisible(line, task);
+            observed = vv ? vv->tag.producer : 0;
+        }
         detector_.noteRead(word, task, observed);
     }
 }
@@ -493,7 +493,7 @@ SpeculationEngine::loadForTask(ProcId proc, Addr addr, Cycle now,
         counters_.inc(sid_.l1Hits);
         if (note) {
             TaskRecord &fr = rec(task);
-            if (fr.readWords.insert(word)) {
+            if (fr.footprint.readWords.insert(word)) {
                 TaskId observed =
                     m.wordGranularityDetection
                         ? (list ? VersionMap::latestWordWriterIn(
@@ -530,7 +530,7 @@ SpeculationEngine::loadForTask(ProcId proc, Addr addr, Cycle now,
             TaskId predicted;
             TaskRecord &pr = rec(task);
             if (predictors_[proc].predict(word, &predicted) &&
-                pr.readWords.insert(word)) {
+                pr.footprint.readWords.insert(word)) {
             vlog_.append(task, {word, predicted});
                 counters_.inc(sid_.valuePredictions);
                 TLSIM_TRACE_EVENT(trace::Kind::ValuePredict, proc,
@@ -587,16 +587,15 @@ SpeculationEngine::loadForTask(ProcId proc, Addr addr, Cycle now,
 
     if (note) {
         TaskRecord &r = rec(task);
-        if (r.readWords.insert(word)) {
-            TaskId observed =
-                m.wordGranularityDetection
-                    ? versions_.latestWordWriter(line,
-                                                 mem::wordBit(addr),
-                                                 task)
-                    : (versions_.latestVisible(line, task)
-                           ? versions_.latestVisible(line, task)
-                                 ->tag.producer
-                           : 0);
+        if (r.footprint.readWords.insert(word)) {
+            TaskId observed;
+            if (m.wordGranularityDetection) {
+                observed = versions_.latestWordWriter(
+                    line, mem::wordBit(addr), task);
+            } else {
+                VersionInfo *vv = versions_.latestVisible(line, task);
+                observed = vv ? vv->tag.producer : 0;
+            }
             detector_.noteRead(word, task, observed);
         }
     }
@@ -649,13 +648,6 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
     // version lookup — none of the code in between mutates the index.
     VersionList *list = versions_.listOf(line);
     VersionInfo *own = list ? VersionMap::findIn(*list, my_tag) : nullptr;
-    Addr stat_word = mem::wordAddr(addr); // footprint statistics
-    auto note_write = [&]() {
-        if (r.writtenWords.insert(stat_word) &&
-            workload_.isPrivAddr(addr)) {
-            ++r.privWords;
-        }
-    };
 
     if (own) {
         // Subsequent store to a line this task already versioned.
@@ -668,7 +660,6 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
             f1->writeMask |= bit;
             if (CacheLineState *f2 = l2_[proc]->findVersion(line, my_tag))
                 f2->writeMask |= bit;
-            note_write();
             return {m.latL1, cpu::StoreStall::None, 0};
         }
         Cycle lat;
@@ -715,7 +706,6 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
             panic("specStore: own version unreachable: " +
                   describeVersion(own));
         }
-        note_write();
         return {lat, cpu::StoreStall::None, 0};
     }
 
@@ -792,7 +782,6 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
     VersionInfo &nv = versions_.create(line, my_tag, proc);
     nv.writeMask = bit;
     r.noteDirtyLine(line);
-    note_write();
 
     Cycle lat = fill;
     if (cfg_.scheme.isAmm() && overflow_[proc].size() > 0) {
@@ -888,10 +877,12 @@ SpeculationEngine::seqStore(ProcId proc, Addr addr, Cycle now)
     Addr line = mem::lineAddr(addr);
     VersionTag arch = VersionTag::arch();
     TaskId task = cores_[proc]->currentTask();
-    TaskRecord &r = rec(task);
-    Addr word = mem::wordAddr(addr);
-    if (r.writtenWords.insert(word) && workload_.isPrivAddr(addr))
-        ++r.privWords;
+    // The baseline creates no versions, so no write mask records its
+    // stores: the written-footprint statistic needs its own word set.
+    TaskFootprint &fp = rec(task).footprint;
+    if (fp.writtenWords.insert(mem::wordAddr(addr)) &&
+        workload_.isPrivAddr(addr))
+        ++fp.privWords;
 
     Cycle lat;
     CacheLineState *f2 = l2_[proc]->findVersion(line, arch);

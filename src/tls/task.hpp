@@ -28,6 +28,39 @@ enum class TaskState : std::uint8_t {
 const char *taskStateName(TaskState s);
 
 /**
+ * Footprint storage of one task's current incarnation. It lives only
+ * while the task is speculative: the engine hands a recycled one out
+ * at first dispatch and takes it back at commit, so set capacity is
+ * reused across tasks instead of regrowing from empty for each.
+ */
+struct TaskFootprint {
+    /** Lines with a version produced by the current incarnation. */
+    std::vector<Addr> dirtyLines;
+    FlatSet<Addr> dirtyLineSet;
+    /** Distinct words read (read-set; violation-record cleanup). */
+    FlatSet<Addr> readWords;
+    /**
+     * Distinct words written and how many of them are in the
+     * workload's mostly-private region — sequential baseline only.
+     * It creates no versions, so no write mask records its stores;
+     * a speculative task's written words are the bits of its own
+     * versions' write masks, counted at commit.
+     */
+    FlatSet<Addr> writtenWords;
+    std::uint64_t privWords = 0;
+
+    void
+    clear()
+    {
+        dirtyLines.clear();
+        dirtyLineSet.clear();
+        readWords.clear();
+        writtenWords.clear();
+        privWords = 0;
+    }
+};
+
+/**
  * Everything the engine tracks about one task.
  */
 struct TaskRecord {
@@ -39,15 +72,8 @@ struct TaskRecord {
     /** Times squashed. */
     std::uint32_t squashes = 0;
 
-    /** Lines with a version produced by the current incarnation. */
-    std::vector<Addr> dirtyLines;
-    FlatSet<Addr> dirtyLineSet;
-    /** Distinct words written (footprint statistic). */
-    FlatSet<Addr> writtenWords;
-    /** Distinct words read (read-set; violation-record cleanup). */
-    FlatSet<Addr> readWords;
-    /** Words written into the workload's mostly-private region. */
-    std::uint64_t privWords = 0;
+    /** Speculative footprint (empty storage once committed). */
+    TaskFootprint footprint;
 
     /** @name Timeline (last incarnation) */
     ///@{
@@ -69,22 +95,11 @@ struct TaskRecord {
         return state == TaskState::Running || state == TaskState::Finished;
     }
 
-    /** Reset speculative footprint for a (re-)execution. */
-    void
-    resetFootprint()
-    {
-        dirtyLines.clear();
-        dirtyLineSet.clear();
-        writtenWords.clear();
-        readWords.clear();
-        privWords = 0;
-    }
-
     void
     noteDirtyLine(Addr line)
     {
-        if (dirtyLineSet.insert(line))
-            dirtyLines.push_back(line);
+        if (footprint.dirtyLineSet.insert(line))
+            footprint.dirtyLines.push_back(line);
     }
 };
 

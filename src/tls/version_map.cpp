@@ -100,15 +100,6 @@ VersionMap::remove(Addr line, mem::VersionTag tag)
 }
 
 void
-VersionMap::forEach(const std::function<void(Addr, VersionInfo &)> &fn)
-{
-    lines_.forEach([&fn](const Addr &line, VersionList &vec) {
-        for (auto &v : vec)
-            fn(line, v);
-    });
-}
-
-void
 VersionMap::clear()
 {
     lines_.clear();

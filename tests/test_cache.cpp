@@ -47,6 +47,33 @@ TEST(Geometry, SetCountAndIndex)
     EXPECT_EQ(g.setIndex(0), 0u);
     EXPECT_EQ(g.setIndex(256), 0u);
     EXPECT_EQ(g.setIndex(257), 1u);
+
+    // The cache indexes sets with a mask; it must pick the same set as
+    // the geometry's modulo for every geometry the machines use.
+    for (CacheGeometry geo :
+         {g, CacheGeometry::of(4096, 2), CacheGeometry::of(256 * 1024, 4),
+          CacheGeometry::of(512 * 1024, 4),
+          CacheGeometry::of(16ULL * 1024 * 1024, 4)}) {
+        VersionedCache c(geo, true);
+        for (Addr a : {Addr(0), Addr(1), Addr(255), Addr(256), Addr(257),
+                       Addr(0x1000'0000 / kLineBytes) + 3,
+                       Addr(0xdead'beef'1234ULL), ~Addr(0)}) {
+            EXPECT_EQ(c.setIndex(a), a % geo.numSets())
+                << "sets=" << geo.numSets() << " line=" << a;
+            EXPECT_EQ(c.setIndex(a), geo.setIndex(a));
+        }
+    }
+}
+
+TEST(GeometryDeathTest, NonPowerOfTwoSetCountIsRejected)
+{
+    // 3 sets of 2 ways: a mask cannot index it, so construction fails
+    // instead of silently folding sets together.
+    EXPECT_DEATH(VersionedCache(CacheGeometry::of(3 * 2 * kLineBytes, 2),
+                                true),
+                 "not a power of two");
+    EXPECT_DEATH(VersionedCache(CacheGeometry::of(0, 2), true),
+                 "zero sets");
 }
 
 TEST(VersionedCache, InsertAndFindVersion)

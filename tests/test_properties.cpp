@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
+#include "apps/loop_workload.hpp"
 #include "common/rng.hpp"
 #include "mem/cache.hpp"
+#include "mem/geometry.hpp"
 #include "noc/mesh.hpp"
 #include "sim/study.hpp"
 #include "tls/engine.hpp"
@@ -304,4 +309,124 @@ TEST(EngineProperties, ReplicatedSeedsPerturbExecTimeOnly)
         for (const CycleBreakdown &b : res.perProc)
             ASSERT_EQ(b.total(), res.execTime);
     }
+}
+
+// ---------------------------------------------------------------
+// Written-footprint statistic against a count from the traces alone
+// ---------------------------------------------------------------
+
+namespace {
+
+/**
+ * Figure 1's Written/task and Priv % columns, counted independently of
+ * the engine: the distinct words each task's trace stores to, and how
+ * many of them the workload calls mostly-private. Every task commits
+ * once, and a re-executed task replays the same trace.
+ */
+struct WrittenOracle {
+    double avgWrittenKb = 0.0;
+    double privFraction = 0.0;
+};
+
+WrittenOracle
+countWrittenFromTraces(tls::Workload &wl)
+{
+    std::uint64_t words = 0;
+    std::uint64_t priv = 0;
+    for (TaskId t = 1; t <= wl.numTasks(); ++t) {
+        std::set<Addr> seen;
+        auto trace = wl.makeTrace(t);
+        for (Op op = trace->next(); op.kind != Op::Kind::End;
+             op = trace->next()) {
+            if (op.kind == Op::Kind::Store &&
+                seen.insert(mem::wordAddr(op.addr)).second &&
+                wl.isPrivAddr(op.addr))
+                ++priv;
+        }
+        words += seen.size();
+    }
+    WrittenOracle o;
+    o.avgWrittenKb = double(words) * mem::kWordBytes / 1024.0 /
+                     double(wl.numTasks());
+    if (words > 0)
+        o.privFraction = double(priv) / double(words);
+    return o;
+}
+
+/** Run @p wl under @p scheme and compare with the trace count. */
+void
+expectWrittenFootprintMatchesTraces(tls::Workload &wl,
+                                    tls::Workload &oracle_wl,
+                                    const tls::SchemeConfig &scheme,
+                                    const mem::MachineParams &machine,
+                                    bool expect_squashes)
+{
+    SCOPED_TRACE(wl.name() + " / " + scheme.name() + " / " +
+                 machine.name);
+    tls::EngineConfig cfg;
+    cfg.scheme = scheme;
+    cfg.machine = machine;
+    tls::SpeculationEngine engine(cfg, wl);
+    tls::RunResult r = engine.run();
+    ASSERT_EQ(r.committedTasks, wl.numTasks());
+    if (expect_squashes) {
+        EXPECT_GT(r.tasksSquashed, 0u);
+    }
+
+    WrittenOracle o = countWrittenFromTraces(oracle_wl);
+    EXPECT_DOUBLE_EQ(r.avgWrittenKb, o.avgWrittenKb);
+    EXPECT_DOUBLE_EQ(r.privFraction, o.privFraction);
+}
+
+} // namespace
+
+TEST(WrittenFootprint, MatchesTraceCountForEverySchemeOnNuma16)
+{
+    // Apsi writes both inside (60%) and outside its mostly-private
+    // region, so both columns are exercised.
+    apps::AppParams app = sampledApp(apps::apsi());
+    {
+        apps::LoopWorkload oracle_wl(app);
+        WrittenOracle o = countWrittenFromTraces(oracle_wl);
+        ASSERT_GT(o.privFraction, 0.0);
+        ASSERT_LT(o.privFraction, 1.0);
+    }
+    for (const tls::SchemeConfig &scheme :
+         tls::SchemeConfig::evaluatedSchemes()) {
+        apps::LoopWorkload wl(app);
+        apps::LoopWorkload oracle_wl(app);
+        expectWrittenFootprintMatchesTraces(
+            wl, oracle_wl, scheme, mem::MachineParams::numa16(), false);
+    }
+}
+
+TEST(WrittenFootprint, MatchesTraceCountOnSquashingMesh64Synth)
+{
+    // Squashed incarnations' stores must not count; only the
+    // committed incarnation's words do.
+    apps::SynthSpec spec;
+    std::string err;
+    ASSERT_TRUE(apps::SynthSpec::parse(
+        "kind=graph,tasks=48,conflict=0.2,seed=5", &spec, &err))
+        << err;
+    const tls::SchemeConfig mv_lazy{tls::Separation::MultiTMV,
+                                    tls::Merging::LazyAMM, false};
+    apps::SynthWorkload wl(spec);
+    apps::SynthWorkload oracle_wl(spec);
+    expectWrittenFootprintMatchesTraces(
+        wl, oracle_wl, mv_lazy, mem::MachineParams::mesh(64), true);
+}
+
+TEST(WrittenFootprint, MatchesTraceCountOnOooCore)
+{
+    apps::AppParams app = sampledApp(apps::apsi());
+    mem::MachineParams numa = mem::MachineParams::numa16();
+    numa.coreModel = mem::CoreModelKind::OutOfOrder;
+    apps::LoopWorkload wl(app);
+    apps::LoopWorkload oracle_wl(app);
+    expectWrittenFootprintMatchesTraces(
+        wl, oracle_wl,
+        tls::SchemeConfig{tls::Separation::MultiTMV, tls::Merging::LazyAMM,
+                          false},
+        numa, false);
 }
