@@ -21,6 +21,24 @@
 namespace tlsim::bench {
 
 /**
+ * Parse one thread-count value: a whole number >= 1. Anything else
+ * (empty, non-numeric, trailing junk, zero, negative) prints an error
+ * and exits 2, the usage-error status.
+ */
+inline unsigned
+parseThreadCount(const char *value)
+{
+    char *end = nullptr;
+    const long v = std::strtol(value, &end, 10);
+    if (end == value || *end != '\0' || v < 1 || v > long(~0u)) {
+        std::fprintf(stderr, "--threads wants a count >= 1, got '%s'\n",
+                     value);
+        std::exit(2);
+    }
+    return unsigned(v);
+}
+
+/**
  * Parse a `--threads N` / `--threads=N` flag for sweep drivers.
  *
  * Returns 0 ("auto": TLSIM_THREADS env, else hardware concurrency)
@@ -32,26 +50,10 @@ parseThreads(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        const char *value = nullptr;
-        if (std::strcmp(arg, "--threads") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--threads wants a count\n");
-                std::exit(1);
-            }
-            value = argv[i + 1];
-        } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            value = arg + 10;
-        }
-        if (value) {
-            long v = std::atol(value);
-            if (v < 1) {
-                std::fprintf(stderr, "--threads wants a count >= 1, "
-                                     "got '%s'\n",
-                             value);
-                std::exit(1);
-            }
-            return unsigned(v);
-        }
+        if (std::strcmp(arg, "--threads") == 0)
+            return parseThreadCount(i + 1 < argc ? argv[i + 1] : "");
+        if (std::strncmp(arg, "--threads=", 10) == 0)
+            return parseThreadCount(arg + 10);
     }
     return 0;
 }

@@ -147,8 +147,8 @@ using StatId = std::uint32_t;
  * increment by id (one array index, no string compare). The name-based
  * inc()/get() API remains as a thin wrapper — it does the original
  * linear scan with string compares — for tests, benches and one-off
- * counters, and as the honest baseline the hot-path benchmark measures
- * the interned path against.
+ * counters, and as the reference test_stats checks the interned path
+ * against.
  */
 class CounterSet
 {

@@ -61,7 +61,7 @@ struct PointKey {
 /**
  * Incremental 128-bit folder the key derivations stream fields into.
  *
- * Allocation-free by construction (bench_hotpath gates this): fields
+ * Allocation-free by construction (test_alloc_free checks this): fields
  * are mixed into two lanes word-by-word with distinct odd multipliers,
  * no canonical string is ever materialized. Every fold site also mixes
  * a site tag, so field reordering or an empty-string/zero confusion

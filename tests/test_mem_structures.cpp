@@ -6,6 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <random>
+#include <tuple>
+#include <unordered_map>
+#include <vector>
+
 #include "mem/machine_params.hpp"
 #include "mem/mtid_table.hpp"
 #include "mem/overflow_area.hpp"
@@ -189,6 +197,154 @@ TEST(MtidTable, RecoveryRestoreBypassesCheck)
     EXPECT_EQ(t.versionOf(10).producer, 2u);
     t.set(10, VersionTag::arch());
     EXPECT_EQ(t.taggedLines(), 0u);
+}
+
+// Seeded random churn against small std-container models: every
+// answer and every counter must match the model's.
+
+TEST(MtidTable, RandomChurnMatchesModel)
+{
+    std::mt19937_64 rng(0x3717d);
+    MtidTable t;
+    std::unordered_map<Addr, VersionTag> model;
+    std::uint64_t accepts = 0, rejects = 0;
+    auto held = [&](Addr line) {
+        auto it = model.find(line);
+        return it == model.end() ? VersionTag::arch() : it->second;
+    };
+    auto hold = [&](Addr line, VersionTag tag) {
+        if (tag.isArch())
+            model.erase(line);
+        else
+            model[line] = tag;
+    };
+    for (int i = 0; i < 20000; ++i) {
+        const Addr line = Addr(rng() % 64) * 64;
+        // Producer 0 is the architectural version; incarnations 0..2
+        // cover the same-producer re-execution rule.
+        const VersionTag tag{TaskId(rng() % 24),
+                             std::uint32_t(rng() % 3)};
+        const VersionTag cur = held(line);
+        const bool accept =
+            tag.producer > cur.producer ||
+            (tag.producer == cur.producer &&
+             tag.incarnation >= cur.incarnation);
+        ASSERT_EQ(t.wouldAccept(line, tag), accept) << "op " << i;
+        if (rng() % 4 == 0) { // recovery restore: bypasses the check
+            t.set(line, tag);
+            hold(line, tag);
+        } else {
+            ASSERT_EQ(t.writeBack(line, tag), accept) << "op " << i;
+            if (accept) {
+                ++accepts;
+                hold(line, tag);
+            } else {
+                ++rejects;
+            }
+        }
+        ASSERT_EQ(t.taggedLines(), model.size()) << "op " << i;
+    }
+    for (Addr line = 0; line < 64 * 64; line += 64)
+        EXPECT_EQ(t.versionOf(line), held(line)) << "line " << line;
+    EXPECT_EQ(t.accepts(), accepts);
+    EXPECT_EQ(t.rejects(), rejects);
+}
+
+TEST(OverflowArea, RandomChurnMatchesModel)
+{
+    std::mt19937_64 rng(0x0f10);
+    OverflowArea area;
+    using Key = std::tuple<Addr, TaskId, std::uint32_t>;
+    std::map<Key, std::uint8_t> model;
+    std::uint64_t spills = 0;
+    std::size_t peak = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const Addr line = Addr(rng() % 48) * 64;
+        const VersionTag tag{TaskId(1 + rng() % 12),
+                             std::uint32_t(rng() % 2)};
+        const Key key{line, tag.producer, tag.incarnation};
+        switch (rng() % 8) {
+        case 0:
+        case 1:
+        case 2: { // spill (a repeat spill merges the mask)
+            const auto mask = std::uint8_t(1u << (rng() % 8));
+            auto [it, inserted] = model.emplace(key, mask);
+            if (inserted)
+                ++spills;
+            else
+                it->second |= mask;
+            area.put(line, tag, mask);
+            break;
+        }
+        case 3:
+        case 4:
+            ASSERT_EQ(area.contains(line, tag), model.count(key) == 1)
+                << "op " << i;
+            break;
+        case 5:
+        case 6:
+            ASSERT_EQ(area.remove(line, tag), model.erase(key) == 1)
+                << "op " << i;
+            break;
+        default: // squash: every entry of one producer goes
+            area.dropTask(tag.producer);
+            std::erase_if(model, [&](const auto &kv) {
+                return std::get<1>(kv.first) == tag.producer;
+            });
+            break;
+        }
+        peak = std::max(peak, model.size());
+        ASSERT_EQ(area.size(), model.size()) << "op " << i;
+    }
+    for (const auto &[key, mask] : model) {
+        EXPECT_TRUE(area.contains(std::get<0>(key),
+                                  {std::get<1>(key), std::get<2>(key)}));
+    }
+    EXPECT_EQ(area.totalSpills(), spills);
+    EXPECT_EQ(area.peakSize(), peak);
+}
+
+TEST(UndoLog, RandomChurnRecoversInReverseOrder)
+{
+    std::mt19937_64 rng(0x0dd);
+    UndoLog log;
+    std::map<TaskId, std::vector<UndoLogEntry>> model;
+    std::vector<UndoLogEntry> scratch;
+    std::uint64_t appends = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const TaskId task = TaskId(1 + rng() % 16);
+        const unsigned roll = unsigned(rng() % 10);
+        if (roll < 7) {
+            const UndoLogEntry e{Addr(rng() % 256) * 64,
+                                 VersionTag{TaskId(rng() % 16), 1},
+                                 std::uint8_t(rng()), task};
+            log.append(task, e);
+            model[task].push_back(e);
+            ++appends;
+        } else if (roll < 9) { // squash: replay the group backwards
+            log.takeForRecovery(task, scratch);
+            std::vector<UndoLogEntry> want(model[task].rbegin(),
+                                           model[task].rend());
+            model.erase(task);
+            ASSERT_EQ(scratch.size(), want.size()) << "op " << i;
+            for (std::size_t k = 0; k < want.size(); ++k) {
+                ASSERT_EQ(scratch[k].line, want[k].line) << "op " << i;
+                ASSERT_EQ(scratch[k].oldVersion, want[k].oldVersion);
+                ASSERT_EQ(scratch[k].oldMask, want[k].oldMask);
+                ASSERT_EQ(scratch[k].overwriting, task);
+            }
+        } else { // commit: the group is freed
+            log.dropTask(task);
+            model.erase(task);
+        }
+        std::size_t live = 0;
+        for (const auto &[t, group] : model)
+            live += group.size();
+        ASSERT_EQ(log.size(), live) << "op " << i;
+        ASSERT_EQ(log.countOf(task),
+                  model.count(task) ? model[task].size() : 0u);
+    }
+    EXPECT_EQ(log.totalAppends(), appends);
 }
 
 TEST(MachineParams, PaperConfigurations)

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <random>
+
 #include "tls/version_map.hpp"
 
 using namespace tlsim;
@@ -138,4 +142,88 @@ TEST(VersionMap, ReachabilityPredicate)
     v.inMemory = false;
     v.cacheOwner = 3;
     EXPECT_TRUE(v.reachable());
+}
+
+TEST(VersionMap, RandomChurnMatchesModel)
+{
+    // Seeded create/remove/mask churn against a std::map model of each
+    // line's versions (producer -> incarnation, write mask); the
+    // visibility and word-writer queries must agree after every step.
+    struct Version {
+        std::uint32_t incarnation;
+        std::uint8_t mask;
+    };
+    std::mt19937_64 rng(0x7e55);
+    VersionMap map;
+    std::map<Addr, std::map<TaskId, Version>> model;
+    std::size_t versions = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const Addr line = Addr(rng() % 40) * 64;
+        const TaskId producer = TaskId(1 + rng() % 20);
+        const auto incarnation = std::uint32_t(1 + rng() % 2);
+        const VersionTag tag{producer, incarnation};
+        const auto bit = std::uint8_t(1u << (rng() % 8));
+        auto &lineModel = model[line];
+        auto it = lineModel.find(producer);
+        switch (rng() % 4) {
+        case 0: // a store creates its version, or widens its mask
+            if (it == lineModel.end()) {
+                map.create(line, tag, ProcId(producer % 16)).writeMask =
+                    bit;
+                lineModel.emplace(producer, Version{incarnation, bit});
+                ++versions;
+            } else {
+                VersionInfo *v = map.find(
+                    line, VersionTag{producer, it->second.incarnation});
+                ASSERT_NE(v, nullptr) << "op " << i;
+                v->writeMask |= bit;
+                it->second.mask |= bit;
+            }
+            break;
+        case 1: // squash or merge: remove; a wrong incarnation is a no-op
+            map.remove(line, tag);
+            if (it != lineModel.end() &&
+                it->second.incarnation == incarnation) {
+                lineModel.erase(it);
+                --versions;
+            }
+            break;
+        default: { // a load's queries
+            const TaskId reader = TaskId(rng() % 24);
+            VersionInfo *seen = map.latestVisible(line, reader);
+            auto vis = lineModel.upper_bound(reader);
+            if (vis == lineModel.begin()) {
+                ASSERT_EQ(seen, nullptr) << "op " << i;
+            } else {
+                --vis;
+                ASSERT_NE(seen, nullptr) << "op " << i;
+                EXPECT_EQ(seen->tag.producer, vis->first);
+                EXPECT_EQ(seen->tag.incarnation, vis->second.incarnation);
+                EXPECT_EQ(seen->writeMask, vis->second.mask);
+            }
+            TaskId writer = 0;
+            for (const auto &[p, v] : lineModel) {
+                if (p <= reader && (v.mask & bit))
+                    writer = p;
+            }
+            ASSERT_EQ(map.latestWordWriter(line, bit, reader), writer)
+                << "op " << i;
+            break;
+        }
+        }
+        if (lineModel.empty())
+            model.erase(line);
+        ASSERT_EQ(map.totalVersions(), versions) << "op " << i;
+        ASSERT_EQ(map.linesTracked(), model.size()) << "op " << i;
+    }
+    for (const auto &[line, lineModel] : model) {
+        const VersionList &list = map.versionsOf(line);
+        ASSERT_EQ(list.size(), lineModel.size());
+        auto v = list.begin();
+        for (const auto &[producer, version] : lineModel) {
+            EXPECT_EQ(v->tag.producer, producer);
+            EXPECT_EQ(v->tag.incarnation, version.incarnation);
+            ++v;
+        }
+    }
 }

@@ -1,23 +1,27 @@
 #!/usr/bin/env python3
-"""Compare a bench_hotpath JSON report against the committed baseline.
+"""Same-host A/B of the tlsim benchmark between two checkouts.
 
-``bench_hotpath --out`` emits a flat JSON array of
-``{"bench", "metric", "unit", "value"}`` samples. The entries whose
-unit is ``"x"`` are machine-independent *ratios* (optimized-over-naive
-speedups), so they are stable
-enough to gate CI on even though the absolute cycle counts are not.
+    python3 tools/bench_compare.py BASE_DIR HEAD_DIR [--workload W] [--pairs N]
 
-This script fails (exit 1) when any tracked ratio in the current
-report falls more than ``--tolerance`` (default 10%) below the
-committed baseline, and warns — without failing — when tracked
-entries appear or disappear, so the baseline file does not silently
-rot as benchmarks are added.
+Pair i runs ``python3 <dir>/perfbench/run.py --workload W --seed i
+--seconds <run_seconds> --trace 0`` once in each checkout, alternating
+which side runs first, and reads the result object from the last stdout
+line. ``run_seconds`` and every end-to-end metric's ``bound`` come from
+HEAD's BENCHMARK.json. The first run on each side also builds that
+side's benchmark into its own ``.bench_build/``.
 
-Updating the baseline after an intentional change::
+Fails (exit 1) when either side reports ``"correct": false``, when
+HEAD's failed fraction over all its runs exceeds BASE's, or when an
+end-to-end metric's HEAD median is worse than BASE's median by more
+than the metric's bound. For each metric it also prints HEAD's wins out
+of N pairs (ties count for neither side) and BASE's interquartile range
+relative to its median: the two halves of the rule for claiming a gain,
+reported here but not gated.
 
-    ./build/bench/bench_hotpath --out BENCH_hotpath.json
+A typical pull-request check, from the head checkout:
 
-then commit the refreshed file alongside the change that explains it.
+    git worktree add ../base origin/main
+    python3 tools/bench_compare.py ../base . --workload figures --pairs 3
 
 Standard library only.
 """
@@ -26,105 +30,103 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
+import subprocess
 import sys
 from pathlib import Path
 
-# Ratios whose value depends on the run length rather than on code
-# quality: the warm-cache speedup divides the cold sweep's wall time
-# (full run: minutes of simulation; --short: a few seconds) by a
-# near-constant lookup cost, so comparing a --short CI report against
-# the committed full-run baseline would always "regress". Skipped
-# unless --strict.
-MODE_DEPENDENT = {"cache_warm_speedup"}
 
-
-def load_ratios(path: Path) -> dict[str, float]:
-    """Return {bench: metric} for entries whose unit is \"x\"."""
+def run_once(side: str, root: Path, workload: str, seed: int,
+             seconds: int) -> dict:
+    """Run the benchmark once in ``root``; return its result object."""
+    cmd = [sys.executable, str(root / "perfbench" / "run.py"),
+           "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
     try:
-        entries = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot read {path}: {exc}")
-    if not isinstance(entries, list):
-        raise SystemExit(f"{path}: expected a JSON array of samples")
-    ratios: dict[str, float] = {}
-    for e in entries:
-        if e.get("unit") == "x":
-            ratios[str(e["bench"])] = float(e["metric"])
-    return ratios
+        return json.loads(lines[-1])
+    except (IndexError, ValueError):
+        sys.stderr.write(proc.stderr[-3000:])
+        raise SystemExit(f"{side}: no result line from {' '.join(cmd)} "
+                         f"(exit {proc.returncode})")
+
+
+def iqr(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument(
-        "--baseline",
-        type=Path,
-        default=Path("BENCH_hotpath.json"),
-        help="committed baseline report",
-    )
-    ap.add_argument(
-        "--current",
-        type=Path,
-        default=Path("build/BENCH_hotpath_ci.json"),
-        help="freshly generated report to check",
-    )
-    ap.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="allowed fractional drop below baseline (default 0.10)",
-    )
-    ap.add_argument(
-        "--strict",
-        action="store_true",
-        help="also gate run-length-dependent ratios "
-        f"({', '.join(sorted(MODE_DEPENDENT))})",
-    )
+    ap.add_argument("base", type=Path, help="checkout of the base commit")
+    ap.add_argument("head", type=Path, help="checkout of the change")
+    ap.add_argument("--workload", default="figures",
+                    help="perfbench workload (default: figures)")
+    ap.add_argument("--pairs", type=int, default=3,
+                    help="base/head run pairs (default: 3)")
     args = ap.parse_args()
+    if args.pairs < 1:
+        ap.error("--pairs wants a count >= 1")
 
-    baseline = load_ratios(args.baseline)
-    current = load_ratios(args.current)
-    if not baseline:
-        raise SystemExit(f"{args.baseline}: no tracked ratios (unit 'x')")
+    spec = json.loads((args.head / "BENCHMARK.json").read_text())
+    metrics = spec["end_to_end"]
+    seconds = int(spec["run_seconds"])
+    sides = {"base": args.base.resolve(), "head": args.head.resolve()}
+    runs: dict[str, list[dict]] = {"base": [], "head": []}
+    failures: list[str] = []
 
-    width = max(len(k) for k in baseline | current)
-    print(f"{'tracked ratio':<{width}} {'base':>8} {'now':>8} {'delta':>8}")
-    regressions: list[str] = []
-    for key in sorted(baseline):
-        if key not in current:
-            print(f"{key:<{width}} {baseline[key]:>8.3f} {'gone':>8}")
-            print(f"warning: {key} missing from {args.current}",
-                  file=sys.stderr)
-            continue
-        base, now = baseline[key], current[key]
-        delta = (now - base) / base
+    for i in range(args.pairs):
+        order = ["base", "head"] if i % 2 == 0 else ["head", "base"]
+        for side in order:
+            print(f"pair {i + 1}/{args.pairs}: {side} "
+                  f"({args.workload}, seed {i})", flush=True)
+            result = run_once(side, sides[side], args.workload, i, seconds)
+            if not result.get("correct"):
+                failures.append(f"{side} seed {i} reported correct: false "
+                                f"({result.get('failed')} failed)")
+            runs[side].append(result)
+
+    def failed_fraction(side: str) -> float:
+        attempted = sum(r.get("attempted", 0) for r in runs[side])
+        failed = sum(r.get("failed", 0) for r in runs[side])
+        return failed / attempted if attempted else 1.0
+
+    if failed_fraction("head") > failed_fraction("base"):
+        failures.append(
+            f"head failed fraction {failed_fraction('head'):.4f} exceeds "
+            f"base {failed_fraction('base'):.4f}")
+
+    print(f"\n{args.workload}, {args.pairs} pair(s), {seconds} s runs")
+    print(f"{'metric':<20} {'unit':<5} {'base':>11} {'head':>11} "
+          f"{'change':>8} {'bound':>6} {'head wins':>9} {'base IQR':>9}")
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        base = [r["metrics"][name]["value"] for r in runs["base"]]
+        head = [r["metrics"][name]["value"] for r in runs["head"]]
+        b, h = statistics.median(base), statistics.median(head)
+        change = (h - b) / b if b else 0.0
+        worse = change if lower else -change
+        wins = sum((hv < bv) if lower else (hv > bv)
+                   for bv, hv in zip(base, head))
+        spread = iqr(base) / b if b else 0.0
         flag = ""
-        if key in MODE_DEPENDENT and not args.strict:
-            flag = "  (mode-dependent, not gated)"
-        elif delta < -args.tolerance:
-            regressions.append(key)
+        if worse > m["bound"]:
             flag = "  << REGRESSION"
-        print(f"{key:<{width}} {base:>8.3f} {now:>8.3f} "
-              f"{delta:>+7.1%}{flag}")
-    for key in sorted(set(current) - set(baseline)):
-        print(f"warning: {key} not in baseline {args.baseline} — "
-              f"regenerate it to start tracking", file=sys.stderr)
+            failures.append(f"{name}: head median {h:.6g} is "
+                            f"{worse:.1%} worse than base {b:.6g} "
+                            f"(bound {m['bound']:.0%})")
+        print(f"{name:<20} {m['unit']:<5} {b:>11.6g} {h:>11.6g} "
+              f"{change:>+8.1%} {m['bound']:>6.0%} "
+              f"{wins:>5}/{args.pairs:<3} {spread:>9.1%}{flag}")
 
-    if regressions:
-        print(
-            f"\nFAIL: {len(regressions)} tracked ratio(s) regressed "
-            f"more than {args.tolerance:.0%} vs {args.baseline}: "
-            + ", ".join(regressions),
-            file=sys.stderr,
-        )
-        print(
-            "If the slowdown is intentional, refresh the baseline with "
-            "'./build/bench/bench_hotpath --out BENCH_hotpath.json' and "
-            "commit it with an explanation.",
-            file=sys.stderr,
-        )
+    if failures:
+        print("\nFAIL:\n  " + "\n  ".join(failures), file=sys.stderr)
         return 1
-    print(f"\nOK: {len(baseline)} tracked ratio(s) within "
-          f"{args.tolerance:.0%} of baseline")
+    print(f"\nOK: every end-to-end metric within its bound on "
+          f"{args.workload}")
     return 0
 
 

@@ -20,6 +20,9 @@
 #include <memory>
 #include <string>
 
+// The drivers' flag parsers; a relative path, because perfbench's own
+// build of this file has only src/ on its include path.
+#include "../bench/bench_common.hpp"
 #include "sim/result_cache.hpp"
 #include "sim/serve.hpp"
 
@@ -55,7 +58,7 @@ main(int argc, char **argv)
         } else if (parseFlag(argv[i], "--cache-verify", &value)) {
             verify_fraction = std::atof(value.c_str());
         } else if (parseFlag(argv[i], "--threads", &value)) {
-            opts.threads = unsigned(std::atoi(value.c_str()));
+            opts.threads = bench::parseThreadCount(value.c_str());
         } else if (std::strcmp(argv[i], "--help") == 0) {
             std::fprintf(stderr,
                          "usage: tlsim_serve [--cache-dir=DIR] "
