@@ -72,8 +72,6 @@ VersionedCache::insert(const CacheLineState &want, Cycle now,
 
     // Same (line, version) already resident: update in place.
     if (CacheLineState *hit = findVersion(want.line, want.version)) {
-        Addr line = hit->line;
-        (void)line;
         *hit = want;
         hit->valid = true;
         hit->lastUse = now;

@@ -567,11 +567,7 @@ SpeculationEngine::finishCommit(TaskId id)
             if (!v->inMemory)
                 TLSIM_TRACE_EVENT(trace::Kind::VersionMerge, r.proc,
                                   id, line, r.incarnation);
-            if (VersionInfo *old = versions_.memoryHolder(line)) {
-                if (old != v)
-                    old->inMemory = false;
-            }
-            v->inMemory = true;
+            versions_.setMemoryHolder(line, v);
             mtid_.set(line, v->tag);
             if (v->inOverflow) {
                 overflow_[r.proc].remove(line, v->tag);
@@ -671,6 +667,15 @@ SpeculationEngine::advanceInvocation()
     barrierActive_ = true;
     Cycle finish = eq_.now();
     if (cfg_.scheme.merging == Merging::LazyAMM) {
+        // One walk of the version index fills every processor's sweep
+        // worklist; each sweep then sorts only its own bucket.
+        mergeBuckets_.resize(numProcs());
+        for (auto &bucket : mergeBuckets_)
+            bucket.clear();
+        versions_.forEach([this](Addr line, VersionInfo &v) {
+            if (v.committed && !v.inMemory && v.cacheOwner != kNoProc)
+                mergeBuckets_[v.cacheOwner].emplace_back(line, &v);
+        });
         for (ProcId p = 0; p < numProcs(); ++p)
             finish = std::max(finish, finalMergeProc(p, eq_.now()));
         counters_.inc(sid_.barrierMergeCycles, finish - eq_.now());
@@ -716,20 +721,15 @@ SpeculationEngine::finalMergeProc(ProcId proc, Cycle start)
     const mem::MachineParams &m = cfg_.machine;
     Cycle issue = start;
     Cycle oneway = 0;
-    mergeScratch_.clear();
-    versions_.forEach([&](Addr line, VersionInfo &v) {
-        if (!v.committed || v.inMemory || v.cacheOwner != proc)
-            return;
-        mergeScratch_.emplace_back(line, &v);
-    });
-    std::sort(mergeScratch_.begin(), mergeScratch_.end(),
+    auto &work = mergeBuckets_[proc];
+    std::sort(work.begin(), work.end(),
               [](const std::pair<Addr, VersionInfo *> &a,
                  const std::pair<Addr, VersionInfo *> &b) {
                   if (a.first != b.first)
                       return a.first < b.first;
                   return a.second->tag.producer < b.second->tag.producer;
               });
-    for (auto &[line, vp] : mergeScratch_) {
+    for (auto &[line, vp] : work) {
         VersionInfo &v = *vp;
         // Only the latest committed version of a line needs a
         // write-back; earlier ones are invalidated by the VCL. Both
@@ -758,11 +758,14 @@ SpeculationEngine::finalMergeProc(ProcId proc, Cycle start)
                 ow = m.latL3 / 2;
             oneway = std::max(oneway, ow);
             mtid_.set(line, v.tag);
-            if (VersionInfo *old = versions_.memoryHolder(line)) {
-                if (old != &v)
-                    old->inMemory = false;
-            }
-            v.inMemory = true;
+            // A displaced holder can still be cached (a write-through
+            // version its task stored to again is refetched). It is
+            // now committed-unmerged: its owner's sweep takes it if
+            // that sweep is still to come, as a fresh walk would.
+            VersionInfo *old = versions_.setMemoryHolder(line, &v);
+            if (old && old->committed && old->cacheOwner > proc &&
+                old->cacheOwner != kNoProc)
+                mergeBuckets_[old->cacheOwner].emplace_back(line, old);
         }
         if (v.inOverflow) {
             overflow_[proc].remove(line, v.tag);
@@ -937,8 +940,6 @@ SpeculationEngine::runRecoveryQueue()
         mtid_.set(e.line, e.oldVersion);
         VersionInfo *v = versions_.find(e.line, e.oldVersion);
         stealMemoryHolder(e.line, v, proc);
-        if (v)
-            v->inMemory = true;
     }
 
     // lastRecoveryStress is zero unless a fault plan is attached to

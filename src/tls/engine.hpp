@@ -196,8 +196,12 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
     SmallVec<mem::VersionTag, 8> deadScratch_;
     /** runRecoveryQueue undo-log drain buffer (reused, reversed). */
     std::vector<mem::UndoLogEntry> recoveryScratch_;
-    /** finalMergeProc canonical sweep worklist (line-sorted). */
-    std::vector<std::pair<Addr, VersionInfo *>> mergeScratch_;
+    /**
+     * Lazy AMM final-merge worklists, one per processor: filled by one
+     * version-index walk per barrier, sorted and swept by
+     * finalMergeProc. Reused across barriers.
+     */
+    std::vector<std::vector<std::pair<Addr, VersionInfo *>>> mergeBuckets_;
 
     // --- statistics ---
     CounterSet counters_;
@@ -257,6 +261,12 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
     bool validatePredictions(TaskId id, Cycle *cost_out);
     void finishCommit(TaskId id);
     Cycle mergeTaskState(TaskId id, Cycle start);
+    /**
+     * Lazy AMM invocation barrier: sweep @p proc's bucket of committed,
+     * unmerged cached versions (advanceInvocation fills every bucket in
+     * one walk) in canonical (line, producer) order, writing back each
+     * line's latest committed version. @return the sweep's finish.
+     */
     Cycle finalMergeProc(ProcId proc, Cycle start);
     void advanceInvocation();
     void releaseNextInvocation();
@@ -308,10 +318,10 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
      * all, it is parked in @p proc's MHB — the hardware saves the
      * displaced version to the history buffer before the overwrite
      * (paper Figure 7-c) — so later fetches retrieve it from there.
-     * @p winner (the version taking the slot) is never demoted.
+     * @p winner (the version taking the slot, or nullptr when memory
+     * now holds an untracked version) becomes the line's holder.
      */
-    void stealMemoryHolder(Addr line, const VersionInfo *winner,
-                           ProcId proc);
+    void stealMemoryHolder(Addr line, VersionInfo *winner, ProcId proc);
 
     cpu::LoadReply seqLoad(ProcId proc, Addr addr, Cycle now);
     cpu::StoreReply seqStore(ProcId proc, Addr addr, Cycle now);

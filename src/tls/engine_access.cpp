@@ -279,7 +279,6 @@ SpeculationEngine::handleL2Eviction(ProcId proc,
                 mtid_.writeBack(line, victim.version);
                 backgroundWriteBack(proc, line, now);
                 if (v) {
-                    v->inMemory = true;
                     v->cacheOwner = kNoProc;
                     v->inOverflow = false;
                 }
@@ -312,7 +311,6 @@ SpeculationEngine::handleL2Eviction(ProcId proc,
             stealMemoryHolder(line, v, proc);
             mtid_.writeBack(line, victim.version);
             backgroundWriteBack(proc, line, now);
-            v->inMemory = true;
             v->cacheOwner = kNoProc;
             counters_.inc(sid_.fmmWritebacks);
         } else {
@@ -343,13 +341,12 @@ SpeculationEngine::faultSpillVersion(ProcId proc, Addr line,
 }
 
 void
-SpeculationEngine::stealMemoryHolder(Addr line, const VersionInfo *winner,
+SpeculationEngine::stealMemoryHolder(Addr line, VersionInfo *winner,
                                      ProcId proc)
 {
-    VersionInfo *old = versions_.memoryHolder(line);
-    if (!old || old == winner)
+    VersionInfo *old = versions_.setMemoryHolder(line, winner);
+    if (!old)
         return;
-    old->inMemory = false;
     if (old->cacheOwner == kNoProc && !old->inOverflow && !old->inMhb) {
         // Memory was the holder's only copy. The FMM hardware saves
         // the displaced version into the local history buffer before
@@ -370,10 +367,7 @@ SpeculationEngine::vclMergeLine(Addr line, Cycle now)
     VersionTag keep = latest->tag;
 
     if (!latest->inMemory) {
-        if (VersionInfo *old = versions_.memoryHolder(line)) {
-            if (old != latest)
-                old->inMemory = false;
-        }
+        versions_.setMemoryHolder(line, latest);
         TLSIM_TRACE_EVENT(trace::Kind::VersionMerge,
                           latest->cacheOwner, keep.producer, line,
                           keep.incarnation);
@@ -387,7 +381,6 @@ SpeculationEngine::vclMergeLine(Addr line, Cycle now)
             }
             backgroundWriteBack(owner, line, now);
         }
-        latest->inMemory = true;
         latest->cacheOwner = kNoProc;
         latest->inOverflow = false;
         mtid_.set(line, keep);
@@ -531,7 +524,7 @@ SpeculationEngine::loadForTask(ProcId proc, Addr addr, Cycle now,
             TaskRecord &pr = rec(task);
             if (predictors_[proc].predict(word, &predicted) &&
                 pr.footprint.readWords.insert(word)) {
-            vlog_.append(task, {word, predicted});
+                vlog_.append(task, {word, predicted});
                 counters_.inc(sid_.valuePredictions);
                 TLSIM_TRACE_EVENT(trace::Kind::ValuePredict, proc,
                                   task, word, pr.incarnation);
@@ -795,10 +788,7 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
     }
     if (write_through_nonspec) {
         nv.cacheOwner = kNoProc;
-        if (VersionInfo *old = versions_.memoryHolder(line)) {
-            old->inMemory = false;
-        }
-        nv.inMemory = true;
+        versions_.setMemoryHolder(line, &nv);
         mtid_.set(line, my_tag);
         TLSIM_TRACE_EVENT(trace::Kind::VersionMerge, proc,
                           my_tag.producer, line, my_tag.incarnation);

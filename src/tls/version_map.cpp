@@ -27,11 +27,24 @@ VersionMap::memoryHolder(Addr line)
     VersionList *list = lines_.find(line);
     if (!list)
         return nullptr;
-    for (auto &v : *list) {
-        if (v.inMemory)
-            return &v;
+    for (auto rit = list->rbegin(); rit != list->rend(); ++rit) {
+        if (rit->inMemory)
+            return &*rit;
     }
     return nullptr;
+}
+
+VersionInfo *
+VersionMap::setMemoryHolder(Addr line, VersionInfo *holder)
+{
+    VersionInfo *old = memoryHolder(line);
+    if (old == holder)
+        return nullptr;
+    if (old)
+        old->inMemory = false;
+    if (holder)
+        holder->inMemory = true;
+    return old;
 }
 
 VersionInfo *
@@ -65,9 +78,7 @@ VersionInfo &
 VersionMap::create(Addr line, mem::VersionTag tag, ProcId owner)
 {
     auto &vec = lines_[line];
-    auto pos = std::lower_bound(
-        vec.begin(), vec.end(), tag.producer,
-        [](const VersionInfo &v, TaskId p) { return v.tag.producer < p; });
+    VersionInfo *pos = lowerBound(vec, tag.producer);
     if (pos != vec.end() && pos->tag.producer == tag.producer)
         panic("VersionMap::create: duplicate producer for line");
     VersionInfo info;
@@ -85,15 +96,11 @@ VersionMap::remove(Addr line, mem::VersionTag tag)
     VersionList *list = lines_.find(line);
     if (!list)
         return;
-    for (auto vit = list->begin(); vit != list->end(); ++vit) {
-        if (vit->tag == tag) {
-            TLSIM_TRACE_EVENT(trace::Kind::VersionRemove,
-                              vit->cacheOwner, tag.producer, line,
-                              tag.incarnation);
-            list->erase(vit);
-            --totalVersions_;
-            break;
-        }
+    if (VersionInfo *v = findIn(*list, tag)) {
+        TLSIM_TRACE_EVENT(trace::Kind::VersionRemove, v->cacheOwner,
+                          tag.producer, line, tag.incarnation);
+        list->erase(v);
+        --totalVersions_;
     }
     if (list->empty())
         lines_.erase(line);

@@ -14,6 +14,7 @@
 #ifndef TLSIM_TLS_VERSION_MAP_HPP
 #define TLSIM_TLS_VERSION_MAP_HPP
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/flat_map.hpp"
@@ -59,6 +60,13 @@ using VersionList = SmallVec<VersionInfo, 2>;
 /**
  * Versions of all lines, ordered by producer within each line.
  *
+ * Two invariants per line let lookups skip the line's history: the
+ * list is sorted by producer with unique producers (create() panics on
+ * a duplicate), so producer-keyed lookups binary-search; and at most
+ * one version has inMemory set (setMemoryHolder() is the only way the
+ * engine moves it), so memoryHolder() scans from the youngest end,
+ * where the holder almost always is.
+ *
  * The line→versions index is an open-addressed FlatMap: one probe per
  * access instead of a node chase, and squash-time line removals shift
  * in place instead of freeing nodes. Pointers and list references are
@@ -81,6 +89,14 @@ class VersionMap
 
     /** The version currently held by main memory, or nullptr (arch). */
     VersionInfo *memoryHolder(Addr line);
+
+    /**
+     * Make @p holder (a version of @p line, or nullptr when memory now
+     * holds a version that is no longer tracked) the line's only
+     * in-memory version: clears the previous holder's flag and returns
+     * it, or nullptr when there was none or it already was @p holder.
+     */
+    VersionInfo *setMemoryHolder(Addr line, VersionInfo *holder);
 
     /** The youngest committed version of @p line, or nullptr. */
     VersionInfo *latestCommitted(Addr line);
@@ -114,15 +130,16 @@ class VersionMap
         return nullptr;
     }
 
-    /** find over an already-fetched list. */
+    /**
+     * find over an already-fetched list: a binary search on the
+     * producer (unique per line), then a full-tag compare so a stale
+     * incarnation misses.
+     */
     static VersionInfo *
     findIn(VersionList &list, mem::VersionTag tag)
     {
-        for (auto &v : list) {
-            if (v.tag == tag)
-                return &v;
-        }
-        return nullptr;
+        VersionInfo *pos = lowerBound(list, tag.producer);
+        return pos != list.end() && pos->tag == tag ? pos : nullptr;
     }
 
     /** latestWordWriter over an already-fetched list. */
@@ -176,6 +193,16 @@ class VersionMap
     void clear();
 
   private:
+    /** First version of @p list with producer >= @p producer. */
+    static VersionInfo *
+    lowerBound(VersionList &list, TaskId producer)
+    {
+        return std::lower_bound(list.begin(), list.end(), producer,
+                                [](const VersionInfo &v, TaskId p) {
+                                    return v.tag.producer < p;
+                                });
+    }
+
     FlatMap<Addr, VersionList> lines_;
     std::size_t totalVersions_ = 0;
 };

@@ -11,12 +11,17 @@
 
 #include <algorithm>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/trace.hpp"
 #include "sim/study.hpp"
+#include "tls/engine.hpp"
+#include "tls/scripted_workload.hpp"
 
 using namespace tlsim;
 
@@ -384,6 +389,109 @@ TEST_F(TraceTest, AuditCatchesCorruptionInRealTrace)
     it->task += 1; // a commit the token was never handed to
     trace::AuditReport report = trace::audit(file);
     EXPECT_FALSE(report.ok());
+}
+
+// --------------------------------------------------------------------
+// Lazy AMM final merge
+// --------------------------------------------------------------------
+
+TEST_F(TraceTest, LazyFinalMergeSweepsInCanonicalOrder)
+{
+    if (!trace::builtIn())
+        GTEST_SKIP() << "built with TLSIM_TRACE=OFF";
+    // Store-only tasks over a shared pool of lines, each in scrambled
+    // order. Without reads there are no squashes and no VCL merges, so
+    // every VersionMerge record comes from an invocation barrier's
+    // final merge, and every version is swept at its own barrier.
+    constexpr int kTasks = 48;
+    constexpr int kPerInvocation = 16;
+    constexpr int kPool = 40;
+    std::vector<std::vector<cpu::Op>> tasks;
+    for (int t = 0; t < kTasks; ++t) {
+        std::vector<cpu::Op> ops;
+        ops.push_back(cpu::Op::compute(100 + 37 * (t % 5)));
+        for (int k = 0; k < 6; ++k)
+            ops.push_back(cpu::Op::store(
+                0x4000'0000 + Addr((t * 7 + k * 13) % kPool) *
+                                  mem::kLineBytes));
+        tasks.push_back(std::move(ops));
+    }
+    tls::ScriptedWorkload wl(std::move(tasks), kPerInvocation);
+    tls::EngineConfig cfg;
+    cfg.scheme = tls::SchemeConfig::make(tls::Separation::MultiTMV,
+                                         tls::Merging::LazyAMM);
+    cfg.machine = mem::MachineParams::numa16();
+    trace::Options opts;
+    opts.mask = trace::kindBit(trace::Kind::VersionCreate) |
+                trace::kindBit(trace::Kind::VersionRemove) |
+                trace::kindBit(trace::Kind::VersionMerge);
+    trace::start(opts);
+    tls::RunResult res = tls::SpeculationEngine(cfg, wl).run();
+    trace::stop();
+    trace::TraceFile file = trace::drainFile();
+    ASSERT_EQ(file.dropped, 0u);
+    ASSERT_EQ(res.counters.get("tasks_squashed"), 0u);
+    ASSERT_EQ(res.counters.get("vcl_displacements"), 0u);
+    ASSERT_EQ(res.counters.get("nonspec_writethroughs"), 0u);
+
+    // (line, producer) -> creating processor, and the barriers' merge
+    // records, one group per barrier cycle.
+    std::map<std::pair<std::uint64_t, std::uint32_t>, unsigned> creator;
+    std::vector<std::vector<trace::Record>> barriers;
+    for (const trace::Record &r : file.records) {
+        switch (trace::Kind(r.kind)) {
+        case trace::Kind::VersionCreate:
+            creator[{r.addr, r.task}] = r.proc;
+            break;
+        case trace::Kind::VersionRemove:
+            FAIL() << "version removed without a squash or VCL merge";
+        case trace::Kind::VersionMerge:
+            if (barriers.empty() || barriers.back()[0].cycle != r.cycle)
+                barriers.emplace_back();
+            barriers.back().push_back(r);
+            break;
+        default:
+            break;
+        }
+    }
+    ASSERT_EQ(barriers.size(), std::size_t(kTasks / kPerInvocation));
+
+    // Every created version is swept exactly once, at its barrier.
+    EXPECT_EQ(res.counters.get("final_merge_lines"), creator.size());
+
+    for (std::size_t b = 0; b < barriers.size(); ++b) {
+        // The barrier writes back each line's youngest version of the
+        // invocation, from the processor that holds it...
+        const std::uint32_t first = std::uint32_t(b * kPerInvocation + 1);
+        const std::uint32_t last = first + kPerInvocation - 1;
+        std::map<std::uint64_t, std::uint32_t> youngest;
+        for (const auto &[key, proc] : creator) {
+            if (key.second >= first && key.second <= last)
+                youngest[key.first] =
+                    std::max(youngest[key.first], key.second);
+        }
+        std::map<std::uint64_t, std::uint32_t> merged;
+        for (const trace::Record &r : barriers[b]) {
+            merged[r.addr] = r.task;
+            EXPECT_EQ(r.proc, (creator[{r.addr, r.task}]))
+                << "barrier " << b << " line " << r.addr;
+        }
+        EXPECT_EQ(merged, youngest) << "barrier " << b;
+        EXPECT_EQ(barriers[b].size(), youngest.size()) << "barrier " << b;
+
+        // ...processor by processor in ascending order, and in
+        // ascending (line, producer) order within each processor.
+        std::set<unsigned> procs;
+        for (std::size_t i = 1; i < barriers[b].size(); ++i) {
+            const trace::Record &p = barriers[b][i - 1];
+            const trace::Record &r = barriers[b][i];
+            EXPECT_LT(std::tie(p.proc, p.addr, p.task),
+                      std::tie(r.proc, r.addr, r.task))
+                << "barrier " << b << " record " << i;
+            procs.insert(r.proc);
+        }
+        EXPECT_GT(procs.size(), 1u) << "barrier " << b;
+    }
 }
 
 // --------------------------------------------------------------------

@@ -3,12 +3,15 @@
 
     python3 tools/bench_compare.py BASE_DIR HEAD_DIR [--workload W] [--pairs N]
 
-Pair i runs ``python3 <dir>/perfbench/run.py --workload W --seed i
+Pair i runs ``python3 <dir>/perfbench/run.py --workload W --seed S
 --seconds <run_seconds> --trace 0`` once in each checkout, alternating
 which side runs first, and reads the result object from the last stdout
-line. ``run_seconds`` and every end-to-end metric's ``bound`` come from
-HEAD's BENCHMARK.json. The first run on each side also builds that
-side's benchmark into its own ``.bench_build/``.
+line. S is the i-th seed outside the held-out input set 7 (``seed % 8
+== 7``; see perfbench/README.md): 0-6, 8-14, 16, ... Run held-out
+pairs with ``perfbench/run.py --seed 7`` directly. ``run_seconds`` and
+every end-to-end metric's ``bound`` come from HEAD's BENCHMARK.json.
+The first run on each side also builds that side's benchmark into its
+own ``.bench_build/``.
 
 Fails (exit 1) when either side reports ``"correct": false``, when
 HEAD's failed fraction over all its runs exceeds BASE's, or when an
@@ -52,6 +55,11 @@ def run_once(side: str, root: Path, workload: str, seed: int,
                          f"(exit {proc.returncode})")
 
 
+def pair_seeds(pairs: int) -> list[int]:
+    """The first ``pairs`` seeds, skipping the held-out input set 7."""
+    return [s for s in range(2 * pairs) if s % 8 != 7][:pairs]
+
+
 def iqr(values: list[float]) -> float:
     if len(values) < 2:
         return 0.0
@@ -78,15 +86,17 @@ def main() -> int:
     runs: dict[str, list[dict]] = {"base": [], "head": []}
     failures: list[str] = []
 
-    for i in range(args.pairs):
+    seeds = pair_seeds(args.pairs)
+    for i, seed in enumerate(seeds):
         order = ["base", "head"] if i % 2 == 0 else ["head", "base"]
         for side in order:
             print(f"pair {i + 1}/{args.pairs}: {side} "
-                  f"({args.workload}, seed {i})", flush=True)
-            result = run_once(side, sides[side], args.workload, i, seconds)
+                  f"({args.workload}, seed {seed})", flush=True)
+            result = run_once(side, sides[side], args.workload, seed,
+                              seconds)
             if not result.get("correct"):
-                failures.append(f"{side} seed {i} reported correct: false "
-                                f"({result.get('failed')} failed)")
+                failures.append(f"{side} seed {seed} reported correct: "
+                                f"false ({result.get('failed')} failed)")
             runs[side].append(result)
 
     def failed_fraction(side: str) -> float:
@@ -99,7 +109,8 @@ def main() -> int:
             f"head failed fraction {failed_fraction('head'):.4f} exceeds "
             f"base {failed_fraction('base'):.4f}")
 
-    print(f"\n{args.workload}, {args.pairs} pair(s), {seconds} s runs")
+    print(f"\n{args.workload}, {args.pairs} pair(s), {seconds} s runs, "
+          f"seeds {', '.join(map(str, seeds))}")
     print(f"{'metric':<20} {'unit':<5} {'base':>11} {'head':>11} "
           f"{'change':>8} {'bound':>6} {'head wins':>9} {'base IQR':>9}")
     for m in metrics:
