@@ -7,8 +7,8 @@
  * Usage:
  *   explore [--app NAME] [--sep singlet|sv|mv] [--merge eager|lazy|fmm|fmmsw]
  *           [--machine numa|cmp] [--tasks N] [--seed S] [--reps R]
- *           [--threads T] [--l2kb KB] [--l2assoc W] [--no-overflow]
- *           [--line-detect] [--list]
+ *           [--threads T] [--l2kb KB] [--l2assoc W] [--line-detect]
+ *           [--list]
  *
  * Examples:
  *   explore --app Euler --merge fmm
@@ -34,7 +34,7 @@ usage(const char *argv0)
                  "[--merge eager|lazy|fmm|fmmsw] [--machine numa|cmp]\n"
                  "          [--tasks N] [--seed S] [--reps R] "
                  "[--threads T] [--l2kb KB] [--l2assoc W] "
-                 "[--no-overflow] [--line-detect] [--list]\n",
+                 "[--line-detect] [--list]\n",
                  argv0);
     std::exit(1);
 }
@@ -53,7 +53,7 @@ main(int argc, char **argv)
     std::uint64_t seed = 0;
     std::uint64_t l2kb = 0;
     unsigned l2assoc = 0;
-    bool no_overflow = false, line_detect = false;
+    bool line_detect = false;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -92,8 +92,6 @@ main(int argc, char **argv)
             l2kb = std::strtoull(next(), nullptr, 0);
         } else if (arg == "--l2assoc") {
             l2assoc = unsigned(std::atoi(next()));
-        } else if (arg == "--no-overflow") {
-            no_overflow = true;
         } else if (arg == "--line-detect") {
             line_detect = true;
         } else if (arg == "--list") {
@@ -139,8 +137,6 @@ main(int argc, char **argv)
         machine.l2 = mem::CacheGeometry::of(l2kb * 1024,
                                             l2assoc ? l2assoc
                                                     : machine.l2.assoc);
-    if (no_overflow)
-        machine.overflowArea = false;
     if (line_detect)
         machine.wordGranularityDetection = false;
 

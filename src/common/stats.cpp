@@ -16,7 +16,6 @@ cycleKindName(CycleKind kind)
       case CycleKind::CommitWork: return "commit_work";
       case CycleKind::TokenStall: return "token_stall";
       case CycleKind::VersionStall: return "version_stall";
-      case CycleKind::OverflowStall: return "overflow_stall";
       case CycleKind::RecoveryWork: return "recovery_work";
       case CycleKind::DispatchOverhead: return "dispatch";
       case CycleKind::EndStall: return "end_stall";

@@ -37,8 +37,6 @@ enum class CycleKind : std::uint8_t {
     TokenStall,
     /** MultiT&SV stall: second local speculative version requested. */
     VersionStall,
-    /** AMM stall: speculative buffer full and overflow unavailable. */
-    OverflowStall,
     /** Recovery handler work after a squash (FMM log replay etc). */
     RecoveryWork,
     /** Dynamic task dispatch overhead. */

@@ -49,9 +49,7 @@ Core::issueStore(Addr addr)
         state_ = State::StallStore;
         stalledStoreAddr_ = addr;
         waitStart_ = eq_.now();
-        waitKind_ = reply.stall == StoreStall::SecondVersion
-                        ? CycleKind::VersionStall
-                        : CycleKind::OverflowStall;
+        waitKind_ = CycleKind::VersionStall;
         return false;
     }
 

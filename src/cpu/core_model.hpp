@@ -77,7 +77,7 @@ class CoreModel
     enum class State : std::uint8_t {
         Idle,         ///< no task; owner decides accounting kind
         Running,      ///< advancing through ops
-        StallStore,   ///< suspended by SecondVersion/Overflow stall
+        StallStore,   ///< suspended by a SecondVersion stall
         WorkBlock     ///< executing an owner-injected block (commit,
                       ///< recovery handler)
     };
@@ -114,8 +114,8 @@ class CoreModel
     void abortTask();
 
     /**
-     * A store stall (SecondVersion/Overflow) was resolved; re-issue
-     * the stalled store. @pre state() == StallStore.
+     * A SecondVersion store stall was resolved; re-issue the
+     * stalled store. @pre state() == StallStore.
      */
     virtual void resumeStall() = 0;
 

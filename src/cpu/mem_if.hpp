@@ -19,12 +19,7 @@ enum class StoreStall : std::uint8_t {
      * of this variable from an earlier local task; stall until that
      * task becomes non-speculative.
      */
-    SecondVersion,
-    /**
-     * AMM without an overflow area: the set is full of pinned
-     * speculative lines; stall until a commit frees buffering.
-     */
-    Overflow
+    SecondVersion
 };
 
 /** Reply to a load request. */

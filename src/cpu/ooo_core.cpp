@@ -191,9 +191,7 @@ OoOCore::performHeadStore()
     if (reply.stall != StoreStall::None) {
         state_ = State::StallStore;
         waitStart_ = eq_.now();
-        waitKind_ = reply.stall == StoreStall::SecondVersion
-                        ? CycleKind::VersionStall
-                        : CycleKind::OverflowStall;
+        waitKind_ = CycleKind::VersionStall;
         return false;
     }
 

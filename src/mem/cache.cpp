@@ -64,8 +64,7 @@ VersionedCache::evictClass(const CacheLineState &frame)
 }
 
 InsertResult
-VersionedCache::insert(const CacheLineState &want, Cycle now,
-                       bool pin_speculative)
+VersionedCache::insert(const CacheLineState &want, Cycle now)
 {
     InsertResult result;
     CacheLineState *base = setBase(want.line);
@@ -100,16 +99,12 @@ VersionedCache::insert(const CacheLineState &want, Cycle now,
     for (unsigned w = 0; w < geo_.assoc; ++w) {
         CacheLineState &f = base[w];
         int cls = evictClass(f);
-        if (pin_speculative && cls == 3)
-            continue;
         if (cls < victim_class ||
             (cls == victim_class && victim && f.lastUse < victim->lastUse)) {
             victim = &f;
             victim_class = cls;
         }
     }
-    if (!victim)
-        return result; // all frames pinned; caller must stall
 
     if (victim->valid) {
         result.evicted = true;
@@ -120,21 +115,6 @@ VersionedCache::insert(const CacheLineState &want, Cycle now,
     victim->lastUse = now;
     result.frame = victim;
     return result;
-}
-
-bool
-VersionedCache::canInsert(Addr line, bool pin_speculative)
-{
-    if (findAnyOf(line) && !multiVersion_)
-        return true; // replace-in-place path
-    if (!pin_speculative)
-        return true;
-    CacheLineState *base = setBase(line);
-    for (unsigned w = 0; w < geo_.assoc; ++w) {
-        if (evictClass(base[w]) != 3)
-            return true;
-    }
-    return false;
 }
 
 void

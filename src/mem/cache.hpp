@@ -46,7 +46,7 @@ struct CacheLineState {
  * Result of an insertion attempt.
  */
 struct InsertResult {
-    /** Frame now holding the new line; nullptr if insertion failed. */
+    /** Frame now holding the new line. */
     CacheLineState *frame = nullptr;
     /** True if a victim was displaced (victim holds its pre-eviction state). */
     bool evicted = false;
@@ -112,17 +112,8 @@ class VersionedCache
      *
      * @param want the new line contents (valid is forced true)
      * @param now current time, recorded as LRU timestamp
-     * @param pin_speculative if true, speculative-dirty frames cannot
-     *        be victims; insertion fails when all frames are pinned.
      */
-    InsertResult insert(const CacheLineState &want, Cycle now,
-                        bool pin_speculative = false);
-
-    /**
-     * True if insert() would find a frame for @p line (used to detect
-     * the stall condition when speculative lines are pinned).
-     */
-    bool canInsert(Addr line, bool pin_speculative);
+    InsertResult insert(const CacheLineState &want, Cycle now);
 
     /** Invalidate one frame (no write-back; the engine handles data). */
     void invalidate(CacheLineState *frame);

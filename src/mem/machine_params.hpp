@@ -128,7 +128,6 @@ struct MachineParams {
     Cycle recoveryPerTask = 60;     ///< AMM squash bookkeeping per task
     Cycle recoveryPerLogEntry = 55; ///< FMM handler work per MHB entry
     unsigned swLogInstrPerEntry = 24; ///< FMM.Sw added instructions
-    bool overflowArea = true;       ///< AMM spill area in local memory
     /** Extra cycles an L2 miss pays to consult the overflow-area
      *  tables while the area is non-empty (AMM only; FMM displaces
      *  into plain main memory and needs no such structure). */

@@ -97,7 +97,7 @@ namespace {
 /** Key-schema version: bump when fields are added to or removed from
  *  the derivations below (the code-version hash would catch it anyway,
  *  since such a change edits this file — this is belt and braces). */
-constexpr std::uint64_t kKeySchemaVersion = 1;
+constexpr std::uint64_t kKeySchemaVersion = 2;
 
 void
 foldPreamble(KeyHasher &h, bool sequential)
@@ -163,7 +163,6 @@ foldMachine(KeyHasher &h, const mem::MachineParams &m)
     h.u64(m.recoveryPerTask);
     h.u64(m.recoveryPerLogEntry);
     h.u64(m.swLogInstrPerEntry);
-    h.u64(m.overflowArea ? 1 : 0);
     h.u64(m.overflowCheckCycles);
     h.u64(m.wordGranularityDetection ? 1 : 0);
 }

@@ -135,7 +135,7 @@ class ResultCache
   public:
     /** Entry format version: bump when the entry layout or the
      *  RunResult serialization changes. */
-    static constexpr std::uint32_t kFormatVersion = 1;
+    static constexpr std::uint32_t kFormatVersion = 2;
 
     /** Opens (creating directories as needed) the store at @p dir. */
     explicit ResultCache(std::string dir);

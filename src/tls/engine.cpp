@@ -200,7 +200,6 @@ SpeculationEngine::SpeculationEngine(const EngineConfig &cfg,
     sid_.overflowChecks = counters_.intern("overflow_checks");
     sid_.overflowSpills = counters_.intern("overflow_spills");
     sid_.overflowRefetches = counters_.intern("overflow_refetches");
-    sid_.overflowStalls = counters_.intern("overflow_stalls");
     sid_.svStalls = counters_.intern("sv_stalls");
     sid_.fmmWritebacks = counters_.intern("fmm_writebacks");
     sid_.fmmRefetches = counters_.intern("fmm_refetches");
@@ -209,7 +208,6 @@ SpeculationEngine::SpeculationEngine(const EngineConfig &cfg,
     sid_.vclWritebacks = counters_.intern("vcl_writebacks");
     sid_.vclInvalidations = counters_.intern("vcl_invalidations");
     sid_.logAppends = counters_.intern("log_appends");
-    sid_.nonspecWritethroughs = counters_.intern("nonspec_writethroughs");
     sid_.versionsCreated = counters_.intern("versions_created");
     sid_.dispatches = counters_.intern("dispatches");
     sid_.commits = counters_.intern("commits");
@@ -438,7 +436,6 @@ SpeculationEngine::validatePredictions(TaskId id, Cycle *cost_out)
     }
     TaskRecord &r = rec(id);
     ProcId proc = r.proc;
-    const mem::MachineParams &m = cfg_.machine;
 
     // Re-derive the producer each predicted word would observe now,
     // with exactly the lookup the detector's read records use. The
@@ -446,18 +443,9 @@ SpeculationEngine::validatePredictions(TaskId id, Cycle *cost_out)
     // a pure function of (word, producer): equal producers mean the
     // predicted and architectural values compare equal.
     for (const cpu::ValidationEntry &e : entries) {
-        // Validation entries store word indices; reconstruct the byte
-        // address before deriving line and word-bit coordinates.
-        Addr byteAddr = e.word * mem::kWordBytes;
-        Addr line = mem::lineAddr(byteAddr);
-        TaskId actual;
-        if (m.wordGranularityDetection) {
-            actual = versions_.latestWordWriter(
-                line, mem::wordBit(byteAddr), id);
-        } else {
-            VersionInfo *vv = versions_.latestVisible(line, id);
-            actual = vv ? vv->tag.producer : 0;
-        }
+        // Validation entries store word indices: rebuild the byte
+        // address.
+        TaskId actual = observedProducer(e.word * mem::kWordBytes, id);
         if (actual != e.predictedProducer) {
             counters_.inc(sid_.valueMispredicts);
             TLSIM_TRACE_EVENT(trace::Kind::ValueMispredict, proc, id,
@@ -633,26 +621,8 @@ SpeculationEngine::finishCommit(TaskId id)
     ++nextCommit_;
     counters_.inc(sid_.commits);
     maybeCommit();
-    if (!sectionDone_) {
+    if (!sectionDone_)
         tryDispatch(owner);
-        resumeOverflowWaiters();
-    }
-}
-
-void
-SpeculationEngine::resumeOverflowWaiters()
-{
-    if (overflowWaiters_.empty())
-        return;
-    auto waiters = std::move(overflowWaiters_);
-    overflowWaiters_.clear();
-    for (auto [proc, task] : waiters) {
-        cpu::CoreModel &core = *cores_[proc];
-        if (core.state() == cpu::CoreModel::State::StallStore &&
-            core.currentTask() == task) {
-            core.resumeStall();
-        }
-    }
 }
 
 /**
@@ -758,14 +728,7 @@ SpeculationEngine::finalMergeProc(ProcId proc, Cycle start)
                 ow = m.latL3 / 2;
             oneway = std::max(oneway, ow);
             mtid_.set(line, v.tag);
-            // A displaced holder can still be cached (a write-through
-            // version its task stored to again is refetched). It is
-            // now committed-unmerged: its owner's sweep takes it if
-            // that sweep is still to come, as a fresh walk would.
-            VersionInfo *old = versions_.setMemoryHolder(line, &v);
-            if (old && old->committed && old->cacheOwner > proc &&
-                old->cacheOwner != kNoProc)
-                mergeBuckets_[old->cacheOwner].emplace_back(line, old);
+            versions_.setMemoryHolder(line, &v);
         }
         if (v.inOverflow) {
             overflow_[proc].remove(line, v.tag);

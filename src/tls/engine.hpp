@@ -21,6 +21,7 @@
 #include "cpu/mem_if.hpp"
 #include "cpu/value_predictor.hpp"
 #include "mem/cache.hpp"
+#include "mem/geometry.hpp"
 #include "mem/machine_params.hpp"
 #include "mem/memory_banks.hpp"
 #include "mem/mtid_table.hpp"
@@ -167,8 +168,6 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
     /** MultiT&SV stall waiters: blocking task -> (proc, stalled task). */
     std::unordered_map<TaskId, std::vector<std::pair<ProcId, TaskId>>>
         svWaiters_;
-    /** Overflow-stall waiters (no-overflow-area ablation). */
-    std::vector<std::pair<ProcId, TaskId>> overflowWaiters_;
 
     /** FMM recovery queue (task IDs, descending) + active flag. */
     std::deque<TaskId> recoveryQueue_;
@@ -216,12 +215,11 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
         StatId loads, stores, l1Hits, l2Hits, l3Hits, memoryFetches,
             remoteCacheFetches, overflowFetches, mhbFetches,
             overflowChecks, overflowSpills, overflowRefetches,
-            overflowStalls, svStalls, fmmWritebacks, fmmRefetches,
-            mtidRejectedSpills, vclDisplacements, vclWritebacks,
-            vclInvalidations, logAppends, nonspecWritethroughs,
-            versionsCreated, dispatches, commits, commitOverflowFetches,
-            eagerWritebacks, barrierMergeCycles, invocations,
-            finalMergeLines, squashEvents, tasksSquashed,
+            svStalls, fmmWritebacks, fmmRefetches, mtidRejectedSpills,
+            vclDisplacements, vclWritebacks, vclInvalidations,
+            logAppends, versionsCreated, dispatches, commits,
+            commitOverflowFetches, eagerWritebacks, barrierMergeCycles,
+            invocations, finalMergeLines, squashEvents, tasksSquashed,
             recoveryEntriesReplayed, valuePredictions,
             valueValidations, valueMispredicts;
     };
@@ -276,7 +274,6 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
     void squashOne(TaskId id);
     void runRecoveryQueue();
     void scheduleAmmRecovery(ProcId proc, Cycle cycles);
-    void resumeOverflowWaiters();
     void vclMergeLine(Addr line, Cycle now);
 
     /** Timing of a fetch of version @p v (nullptr = arch) into @p proc. */
@@ -305,7 +302,7 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
 
     /** @return extra foreground cycles (overflow spill handling). */
     Cycle insertLineL2(ProcId proc, const mem::CacheLineState &line,
-                       Cycle now, bool *stall_overflow);
+                       Cycle now);
     void handleL2Eviction(ProcId proc, const mem::CacheLineState &victim,
                           Cycle now);
     void insertLineL1(ProcId proc, Addr line, mem::VersionTag tag,
@@ -335,6 +332,28 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
      */
     cpu::LoadReply loadForTask(ProcId proc, Addr addr, Cycle now,
                                bool note);
+
+    /**
+     * Violation-detection granule of @p addr: its word (the paper's
+     * granularity) or, under line-granularity detection, its line.
+     */
+    Addr
+    detectionGranule(Addr addr) const
+    {
+        return cfg_.machine.wordGranularityDetection ? mem::wordAddr(addr)
+                                                     : mem::lineAddr(addr);
+    }
+    /**
+     * Producer a read of @p addr by @p reader observes at detection
+     * granularity (0 = architectural): the youngest writer of the word
+     * up to @p reader, or the line's latest visible version. Every read
+     * record, predictor training step and commit-time validation uses
+     * this one lookup.
+     */
+    TaskId observedProducer(Addr addr, TaskId reader);
+    /** observedProducer over @p addr's already-fetched version list. */
+    TaskId observedProducerIn(VersionList *list, Addr addr,
+                              TaskId reader) const;
 
     /**
      * Fault injection: displace the just-created version @p tag of

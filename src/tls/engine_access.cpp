@@ -64,10 +64,10 @@ describeVersion(const VersionInfo *v)
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "producer=%llu inc=%u committed=%d inMemory=%d "
-                  "cacheOwner=%d inOverflow=%d inMhb=%d mhbProc=%d",
+                  "cacheOwner=%d inOverflow=%d mhbProc=%d",
                   (unsigned long long)v->tag.producer,
                   v->tag.incarnation, int(v->committed), int(v->inMemory),
-                  int(v->cacheOwner), int(v->inOverflow), int(v->inMhb),
+                  int(v->cacheOwner), int(v->inOverflow),
                   int(v->mhbProc));
     return buf;
 }
@@ -130,7 +130,7 @@ SpeculationEngine::fetchLatency(ProcId proc, Addr line, VersionInfo *v,
                     counters_.inc(sid_.remoteCacheFetches);
                 }
             }
-        } else if (v->inMhb) {
+        } else if (v->mhbProc != kNoProc) {
             // "Rare retrieval" from a log structure: locate the entry
             // in the owner's log region and read it from memory.
             lat = m.latRemote3Hop + m.latLocalMem;
@@ -189,7 +189,7 @@ SpeculationEngine::fetchLatency(ProcId proc, Addr line, VersionInfo *v,
                 src = Source::RemoteCache;
                 counters_.inc(sid_.remoteCacheFetches);
             }
-        } else if (v->inMhb) {
+        } else if (v->mhbProc != kNoProc) {
             lat = m.latLocalMem + m.latLocalMem / 2;
             lat += memBanks_.access(home, now);
             src = Source::Mhb;
@@ -221,17 +221,9 @@ SpeculationEngine::insertLineL1(ProcId proc, Addr line, VersionTag tag,
 
 Cycle
 SpeculationEngine::insertLineL2(ProcId proc, const CacheLineState &want,
-                                Cycle now, bool *stall_overflow)
+                                Cycle now)
 {
-    bool pin = cfg_.scheme.isAmm() && !cfg_.machine.overflowArea;
-    mem::InsertResult res = l2_[proc]->insert(want, now, pin);
-    if (!res.frame) {
-        if (stall_overflow)
-            *stall_overflow = true;
-        // Otherwise: replica allocation failed against pinned lines;
-        // serve uncached, nothing to do.
-        return 0;
-    }
+    mem::InsertResult res = l2_[proc]->insert(want, now);
     if (res.evicted) {
         bool spec_victim = res.victim.dirty && res.victim.speculative;
         handleL2Eviction(proc, res.victim, now);
@@ -331,7 +323,7 @@ SpeculationEngine::faultSpillVersion(ProcId proc, Addr line,
 {
     CacheLineState *f2 = l2_[proc]->findVersion(line, tag);
     if (!f2 || !f2->speculative || !f2->dirty)
-        return 0; // allocation failed or already displaced: nothing to do
+        return 0; // already displaced: nothing to do
     CacheLineState victim = *f2;
     l2_[proc]->invalidateVersion(line, tag);
     handleL2Eviction(proc, victim, now);
@@ -347,13 +339,13 @@ SpeculationEngine::stealMemoryHolder(Addr line, VersionInfo *winner,
     VersionInfo *old = versions_.setMemoryHolder(line, winner);
     if (!old)
         return;
-    if (old->cacheOwner == kNoProc && !old->inOverflow && !old->inMhb) {
+    if (old->cacheOwner == kNoProc && !old->inOverflow &&
+        old->mhbProc == kNoProc) {
         // Memory was the holder's only copy. The FMM hardware saves
         // the displaced version into the local history buffer before
         // the overwrite reaches memory; without this, an uncommitted
         // (or still-needed committed) version would become
         // unreachable the moment a later write-back lands.
-        old->inMhb = true;
         old->mhbProc = proc;
     }
 }
@@ -414,6 +406,26 @@ SpeculationEngine::vclMergeLine(Addr line, Cycle now)
 // Speculative access paths
 // --------------------------------------------------------------------
 
+TaskId
+SpeculationEngine::observedProducerIn(VersionList *list, Addr addr,
+                                      TaskId reader) const
+{
+    if (!list)
+        return 0;
+    if (cfg_.machine.wordGranularityDetection)
+        return VersionMap::latestWordWriterIn(*list, mem::wordBit(addr),
+                                              reader);
+    VersionInfo *v = VersionMap::latestVisibleIn(*list, reader);
+    return v ? v->tag.producer : 0;
+}
+
+TaskId
+SpeculationEngine::observedProducer(Addr addr, TaskId reader)
+{
+    return observedProducerIn(versions_.listOf(mem::lineAddr(addr)), addr,
+                              reader);
+}
+
 cpu::LoadReply
 SpeculationEngine::specLoad(ProcId proc, Addr addr, Cycle now)
 {
@@ -435,23 +447,10 @@ SpeculationEngine::noteLoadRetire(ProcId proc, Addr addr, Cycle now)
     (void)now;
     if (cfg_.sequential)
         return;
-    const mem::MachineParams &m = cfg_.machine;
     TaskId task = cores_[proc]->currentTask();
-    Addr line = mem::lineAddr(addr);
-    Addr word = m.wordGranularityDetection ? mem::wordAddr(addr)
-                                           : mem::lineAddr(addr);
-    TaskRecord &r = rec(task);
-    if (r.footprint.readWords.insert(word)) {
-        TaskId observed;
-        if (m.wordGranularityDetection) {
-            observed = versions_.latestWordWriter(
-                line, mem::wordBit(addr), task);
-        } else {
-            VersionInfo *vv = versions_.latestVisible(line, task);
-            observed = vv ? vv->tag.producer : 0;
-        }
-        detector_.noteRead(word, task, observed);
-    }
+    Addr word = detectionGranule(addr);
+    if (rec(task).footprint.readWords.insert(word))
+        detector_.noteRead(word, task, observedProducer(addr, task));
 }
 
 cpu::LoadReply
@@ -465,9 +464,7 @@ SpeculationEngine::loadForTask(ProcId proc, Addr addr, Cycle now,
     const mem::MachineParams &m = cfg_.machine;
     TaskId task = cores_[proc]->currentTask();
     Addr line = mem::lineAddr(addr);
-    // Violation detection granularity: word (paper) or whole line.
-    Addr word = m.wordGranularityDetection ? mem::wordAddr(addr)
-                                           : mem::lineAddr(addr);
+    Addr word = detectionGranule(addr);
 
     // One probe of the version index serves visibility, the cache tag
     // and — on the fast path — the observed-producer read record.
@@ -484,18 +481,9 @@ SpeculationEngine::loadForTask(ProcId proc, Addr addr, Cycle now,
         // below mutates the version index).
         f1->lastUse = now;
         counters_.inc(sid_.l1Hits);
-        if (note) {
-            TaskRecord &fr = rec(task);
-            if (fr.footprint.readWords.insert(word)) {
-                TaskId observed =
-                    m.wordGranularityDetection
-                        ? (list ? VersionMap::latestWordWriterIn(
-                                      *list, mem::wordBit(addr), task)
-                                : 0)
-                        : (v ? v->tag.producer : 0);
-                detector_.noteRead(word, task, observed);
-            }
-        }
+        if (note && rec(task).footprint.readWords.insert(word))
+            detector_.noteRead(word, task,
+                               observedProducerIn(list, addr, task));
         return {m.latL1};
     }
 
@@ -562,36 +550,19 @@ SpeculationEngine::loadForTask(ProcId proc, Addr addr, Cycle now,
             CacheLineState cl;
             cl.line = line;
             cl.version = tag;
-            lat += insertLineL2(proc, cl, now, nullptr);
+            lat += insertLineL2(proc, cl, now);
             insertLineL1(proc, line, tag, now);
         }
         // Train on the would-stall reads the predictor declined: the
         // producer actually observed is the value a future predicted
-        // read of this word must reproduce.
-        if (vp_eligible) {
-            TaskId actual =
-                m.wordGranularityDetection
-                    ? versions_.latestWordWriter(
-                          line, mem::wordBit(addr), task)
-                    : v->tag.producer;
-            predictors_[proc].train(word, actual);
-        }
+        // read of this word must reproduce. Looked up afresh: the
+        // insertion above may have removed versions (invalidating v).
+        if (vp_eligible)
+            predictors_[proc].train(word, observedProducer(addr, task));
     }
 
-    if (note) {
-        TaskRecord &r = rec(task);
-        if (r.footprint.readWords.insert(word)) {
-            TaskId observed;
-            if (m.wordGranularityDetection) {
-                observed = versions_.latestWordWriter(
-                    line, mem::wordBit(addr), task);
-            } else {
-                VersionInfo *vv = versions_.latestVisible(line, task);
-                observed = vv ? vv->tag.producer : 0;
-            }
-            detector_.noteRead(word, task, observed);
-        }
-    }
+    if (note && rec(task).footprint.readWords.insert(word))
+        detector_.noteRead(word, task, observedProducer(addr, task));
     return {lat};
 }
 
@@ -606,8 +577,7 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
     TaskId task = cores_[proc]->currentTask();
     TaskRecord &r = rec(task);
     Addr line = mem::lineAddr(addr);
-    Addr word = m.wordGranularityDetection ? mem::wordAddr(addr)
-                                           : mem::lineAddr(addr);
+    Addr word = detectionGranule(addr);
     std::uint8_t bit = mem::wordBit(addr);
 
     // Out-of-order RAW detection: the store's invalidation/update
@@ -677,9 +647,9 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
             cl.dirty = true;
             cl.speculative = true;
             cl.writeMask = own->writeMask;
-            insertLineL2(proc, cl, now, nullptr);
+            insertLineL2(proc, cl, now);
             insertLineL1(proc, line, my_tag, now);
-        } else if (own->inMemory || own->inMhb) {
+        } else if (own->inMemory || own->mhbProc != kNoProc) {
             // FMM: our version was displaced to main memory (or parked
             // in a history buffer by a later write-back); refetch.
             Source src;
@@ -692,7 +662,7 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
             cl.dirty = true;
             cl.speculative = true;
             cl.writeMask = own->writeMask;
-            insertLineL2(proc, cl, now, nullptr);
+            insertLineL2(proc, cl, now);
             insertLineL1(proc, line, my_tag, now);
             counters_.inc(sid_.fmmRefetches);
         } else {
@@ -714,19 +684,6 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
                 counters_.inc(sid_.svStalls);
                 return {0, cpu::StoreStall::SecondVersion, 0};
             }
-        }
-    }
-
-    bool pin = cfg_.scheme.isAmm() && !m.overflowArea;
-    bool write_through_nonspec = false;
-    if (pin && !l2_[proc]->canInsert(line, true)) {
-        if (task == nextCommit_) {
-            // The non-speculative task may update memory directly.
-            write_through_nonspec = true;
-        } else {
-            overflowWaiters_.push_back({proc, task});
-            counters_.inc(sid_.overflowStalls);
-            return {0, cpu::StoreStall::Overflow, 0};
         }
     }
 
@@ -758,10 +715,8 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
         e.overwriting = task;
         logs_[proc].append(task, e);
         counters_.inc(sid_.logAppends);
-        if (prev) {
-            prev->inMhb = true;
+        if (prev)
             prev->mhbProc = proc;
-        }
         if (cfg_.scheme.softwareLog) {
             // Garzaran01: plain instructions save the old version.
             extra_instrs = m.swLogInstrPerEntry;
@@ -786,32 +741,20 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
         memBanks_.access(proc % m.numBanks, now);
         counters_.inc(sid_.overflowChecks);
     }
-    if (write_through_nonspec) {
-        nv.cacheOwner = kNoProc;
-        versions_.setMemoryHolder(line, &nv);
-        mtid_.set(line, my_tag);
-        TLSIM_TRACE_EVENT(trace::Kind::VersionMerge, proc,
-                          my_tag.producer, line, my_tag.incarnation);
-        lat += m.latLocalMem / 2 + memBanks_.access(home, now);
-        counters_.inc(sid_.nonspecWritethroughs);
-    } else {
-        CacheLineState cl;
-        cl.line = line;
-        cl.version = my_tag;
-        cl.dirty = true;
-        cl.speculative = true;
-        cl.writeMask = bit;
-        lat += insertLineL2(proc, cl, now, nullptr);
-        insertLineL1(proc, line, my_tag, now);
-        counters_.inc(sid_.versionsCreated);
-        // Fault injection: forced capacity pressure — displace the
-        // fresh version immediately through the regular eviction path
-        // (overflow spill under AMM, MTID-guarded write-back under
-        // FMM). Skipped in the no-overflow-area ablation, where a
-        // displaced speculative line has nowhere to go but a stall.
-        if (faults_.active() && !pin && faults_.forceSpill())
-            lat += faultSpillVersion(proc, line, my_tag, now);
-    }
+    CacheLineState cl;
+    cl.line = line;
+    cl.version = my_tag;
+    cl.dirty = true;
+    cl.speculative = true;
+    cl.writeMask = bit;
+    lat += insertLineL2(proc, cl, now);
+    insertLineL1(proc, line, my_tag, now);
+    counters_.inc(sid_.versionsCreated);
+    // Fault injection: forced capacity pressure — displace the fresh
+    // version immediately through the regular eviction path (overflow
+    // spill under AMM, MTID-guarded write-back under FMM).
+    if (faults_.active() && faults_.forceSpill())
+        lat += faultSpillVersion(proc, line, my_tag, now);
     return {lat, cpu::StoreStall::None, extra_instrs};
 }
 
@@ -855,7 +798,7 @@ SpeculationEngine::seqLoad(ProcId proc, Addr addr, Cycle now)
     CacheLineState cl;
     cl.line = line;
     cl.version = arch;
-    insertLineL2(proc, cl, now, nullptr);
+    insertLineL2(proc, cl, now);
     insertLineL1(proc, line, arch, now);
     return {lat};
 }

@@ -36,15 +36,8 @@ struct VersionInfo {
     ProcId cacheOwner = kNoProc;
     /** The copy lives in cacheOwner's overflow area, not its L2. */
     bool inOverflow = false;
-    /** A backup copy exists in some processor's MHB (undo log). */
-    bool inMhb = false;
+    /** Processor whose MHB (undo log) holds a backup copy, or none. */
     ProcId mhbProc = kNoProc;
-
-    bool
-    reachable() const
-    {
-        return inMemory || cacheOwner != kNoProc || inMhb;
-    }
 };
 
 /**

@@ -156,19 +156,6 @@ TEST(VersionedCache, LruWithinClass)
     EXPECT_EQ(res.victim.line, 1u);
 }
 
-TEST(VersionedCache, PinnedSpeculativeLinesBlockInsertion)
-{
-    VersionedCache c(CacheGeometry::of(64 * 2, 2), true); // 1 set
-    c.insert(line(0, 1, true, true), 0);
-    c.insert(line(1, 2, true, true), 1);
-    EXPECT_FALSE(c.canInsert(2, true));
-    auto res = c.insert(line(2, 3, true, true), 2, true);
-    EXPECT_EQ(res.frame, nullptr); // refused: would displace pinned state
-    EXPECT_TRUE(c.canInsert(2, false));
-    auto res2 = c.insert(line(2, 3, true, true), 2, false);
-    EXPECT_NE(res2.frame, nullptr);
-}
-
 TEST(VersionedCache, InvalidateVersionRemovesExactlyOne)
 {
     VersionedCache c(CacheGeometry::of(4096, 4), true);

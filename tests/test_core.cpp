@@ -167,19 +167,6 @@ TEST_F(CoreFixture, VersionStallSuspendsUntilResumed)
     EXPECT_EQ(mem.stores, 2u); // issue + re-issue
 }
 
-TEST_F(CoreFixture, OverflowStallUsesItsOwnBucket)
-{
-    mem.stallNextStore = StoreStall::Overflow;
-    core.startTask(1,
-                   std::make_unique<VectorTrace>(
-                       std::vector<Op>{Op::store(0x100)}),
-                   0);
-    eq.run();
-    eq.schedule(100, [&] { core.resumeStall(); });
-    eq.run();
-    EXPECT_GE(core.breakdown().get(CycleKind::OverflowStall), 100u);
-}
-
 TEST_F(CoreFixture, AbortMidComputeChargesPartialWork)
 {
     core.startTask(1,

@@ -2,8 +2,7 @@
  * @file
  * Corner paths of the protocol: FMM displacement and refetch, MTID
  * rejection, VCL on external requests, overflow refetch, remote
- * version supply, the non-speculative write-through escape, a Lazy
- * final merge that displaces a still-cached holder.
+ * version supply.
  */
 
 #include <gtest/gtest.h>
@@ -144,24 +143,6 @@ TEST(EngineCorners, SpeculativeReadersGetInFlightVersions)
     EXPECT_GT(res.counters.get("remote_cache_fetches"), 0u);
 }
 
-TEST(EngineCorners, WriteThroughForNonSpeculativeTaskWithoutOverflow)
-{
-    // No overflow area + a non-speculative task overflowing its L2:
-    // the head task may update memory directly instead of stalling
-    // forever.
-    mem::MachineParams m = tinyL2Numa();
-    m.overflowArea = false;
-    std::vector<Op> ops;
-    for (int w = 0; w < 128; ++w)
-        ops.push_back(Op::store(0x4000'0000 + Addr(w) * 64));
-    RunResult res = runCfg(
-        {ops},
-        SchemeConfig::make(Separation::MultiTMV, Merging::EagerAMM),
-        m);
-    EXPECT_EQ(res.committedTasks, 1u);
-    EXPECT_GT(res.counters.get("nonspec_writethroughs"), 0u);
-}
-
 TEST(EngineCorners, SingleInstructionTasksWork)
 {
     std::vector<std::vector<Op>> tasks(8, {Op::compute(1)});
@@ -193,32 +174,4 @@ TEST(EngineCorners, RereadsOfOwnVersionHitTheL1)
         SchemeConfig::make(Separation::MultiTMV, Merging::EagerAMM),
         mem::MachineParams::numa16());
     EXPECT_GE(res.counters.get("l1_hits"), 49u);
-}
-
-TEST(EngineCorners, LazyFinalMergeSweepsAHolderDisplacedAtTheBarrier)
-{
-    // Without an overflow area, the non-speculative task 16 (processor
-    // 15) writes line C through to memory once its L2 set is pinned
-    // full, then stores to C again and refetches its version: that
-    // version is memory's holder and cached at once. Task 17
-    // (processor 0) writes C too. At the barrier processor 0's sweep
-    // makes task 17's version the holder, which leaves task 16's
-    // committed, cached and unmerged; processor 15's later sweep takes
-    // it with task 16's two pinned lines.
-    mem::MachineParams m = tinyL2Numa();
-    m.overflowArea = false;
-    const Addr set_stride = 16 * 64; // tiny L2: 16 sets
-    const Addr a = 0x4000'0000;
-    const Addr c = a + 2 * set_stride;
-    std::vector<std::vector<Op>> tasks(15, {Op::compute(5000)});
-    tasks.push_back({Op::store(a), Op::store(a + set_stride),
-                     Op::store(c), Op::store(c + 8)});
-    tasks.push_back({Op::store(c + 16)});
-    RunResult res = runCfg(
-        tasks, SchemeConfig::make(Separation::MultiTMV, Merging::LazyAMM),
-        m);
-    EXPECT_EQ(res.committedTasks, 17u);
-    EXPECT_EQ(res.counters.get("nonspec_writethroughs"), 1u);
-    EXPECT_EQ(res.counters.get("fmm_refetches"), 1u);
-    EXPECT_EQ(res.counters.get("final_merge_lines"), 4u);
 }

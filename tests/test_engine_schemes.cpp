@@ -241,39 +241,6 @@ TEST(SchemeBehavior, FmmCommitIsFree)
     EXPECT_EQ(fmm.counters.get("eager_writebacks"), 0u);
 }
 
-TEST(SchemeBehavior, NoOverflowAreaMeansStallsOrWriteThrough)
-{
-    // Ablation: tiny L2 without an overflow area; speculative lines
-    // pin their sets and the processor must stall (or the non-spec
-    // task writes through).
-    std::vector<std::vector<Op>> tasks;
-    for (int t = 0; t < 32; ++t) {
-        std::vector<Op> ops;
-        // 64 lines mapping into a 16-set L2 -> heavy conflict.
-        for (int w = 0; w < 64; ++w)
-            ops.push_back(
-                Op::store(0x4000'0000 + Addr(t) * (1 << 20) +
-                          Addr(w) * 64));
-        ops.push_back(Op::compute(500));
-        tasks.push_back(std::move(ops));
-    }
-    ScriptedWorkload wl(std::move(tasks));
-    EngineConfig cfg;
-    cfg.scheme =
-        SchemeConfig::make(Separation::MultiTMV, Merging::EagerAMM);
-    cfg.machine = mem::MachineParams::numa16();
-    cfg.machine.l2 = mem::CacheGeometry::of(16 * 64 * 2, 2);
-    cfg.machine.l1 = mem::CacheGeometry::of(8 * 64 * 2, 2);
-    cfg.machine.overflowArea = false;
-    SpeculationEngine engine(cfg, wl);
-    RunResult res = engine.run();
-    EXPECT_EQ(res.committedTasks, 32u);
-    EXPECT_GT(res.total.get(CycleKind::OverflowStall) +
-                  res.counters.get("nonspec_writethroughs"),
-              0u);
-    EXPECT_EQ(res.counters.get("overflow_spills"), 0u);
-}
-
 TEST(SchemeBehavior, PredictValidatePredictsStableProducers)
 {
     RunResult none = run(stableProducerTasks(64), Separation::MultiTMV,

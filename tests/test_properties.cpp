@@ -207,20 +207,33 @@ TEST(EngineProperties, LineGranularityDetectionSquashesAtLeastAsOften)
         ops.push_back(Op::store(line_base + Addr(t % 8) * 8));
         tasks.push_back(std::move(ops));
     }
-    auto run_with = [&](bool word_gran) {
-        tls::ScriptedWorkload wl(tasks);
-        tls::EngineConfig cfg;
-        cfg.scheme = tls::SchemeConfig::make(tls::Separation::MultiTMV,
-                                             tls::Merging::LazyAMM);
-        cfg.machine = mem::MachineParams::numa16();
-        cfg.machine.wordGranularityDetection = word_gran;
-        tls::SpeculationEngine engine(cfg, wl);
-        return engine.run();
-    };
-    tls::RunResult word = run_with(true);
-    tls::RunResult line = run_with(false);
-    EXPECT_GT(line.squashEvents, word.squashEvents);
-    EXPECT_EQ(line.committedTasks, 24u);
+    // +VP consults the same detection granule when it trains its
+    // predictor on a declined read and when it validates at commit.
+    for (tls::Validation val :
+         {tls::Validation::None, tls::Validation::PredictValidate}) {
+        SCOPED_TRACE(val == tls::Validation::None ? "None" : "+VP");
+        auto run_with = [&](bool word_gran) {
+            tls::ScriptedWorkload wl(tasks);
+            tls::EngineConfig cfg;
+            cfg.scheme =
+                tls::SchemeConfig::make(tls::Separation::MultiTMV,
+                                        tls::Merging::LazyAMM)
+                    .withValidation(val);
+            cfg.machine = mem::MachineParams::numa16();
+            cfg.machine.wordGranularityDetection = word_gran;
+            tls::SpeculationEngine engine(cfg, wl);
+            return engine.run();
+        };
+        tls::RunResult word = run_with(true);
+        tls::RunResult line = run_with(false);
+        EXPECT_GT(line.squashEvents, word.squashEvents);
+        EXPECT_EQ(word.committedTasks, 24u);
+        EXPECT_EQ(line.committedTasks, 24u);
+        if (val == tls::Validation::PredictValidate) {
+            // The line-granular run predicts, so it trained first.
+            EXPECT_GT(line.counters.get("value_predictions"), 0u);
+        }
+    }
 }
 
 // ---------------------------------------------------------------

@@ -141,9 +141,6 @@ TEST(PointKey, EveryBehavioralFieldPerturbsTheKey)
     m2 = machine;
     m2.ipc *= 2.0;
     EXPECT_NE(sim::appPointKey(app, lazyMv(), m2, {}, false), base);
-    m2 = machine;
-    m2.overflowArea = !m2.overflowArea;
-    EXPECT_NE(sim::appPointKey(app, lazyMv(), m2, {}, false), base);
 
     fault::FaultSpec faults;
     faults.squashProb = 0.1;

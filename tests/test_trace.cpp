@@ -432,7 +432,6 @@ TEST_F(TraceTest, LazyFinalMergeSweepsInCanonicalOrder)
     ASSERT_EQ(file.dropped, 0u);
     ASSERT_EQ(res.counters.get("tasks_squashed"), 0u);
     ASSERT_EQ(res.counters.get("vcl_displacements"), 0u);
-    ASSERT_EQ(res.counters.get("nonspec_writethroughs"), 0u);
 
     // (line, producer) -> creating processor, and the barriers' merge
     // records, one group per barrier cycle.

@@ -162,21 +162,6 @@ TEST(VersionMapDeath, DuplicateProducerPanics)
     EXPECT_DEATH(map.create(5, VersionTag{3, 2}, 0), "duplicate");
 }
 
-TEST(VersionMap, ReachabilityPredicate)
-{
-    VersionInfo v;
-    v.cacheOwner = kNoProc;
-    EXPECT_FALSE(v.reachable());
-    v.inMhb = true;
-    EXPECT_TRUE(v.reachable());
-    v.inMhb = false;
-    v.inMemory = true;
-    EXPECT_TRUE(v.reachable());
-    v.inMemory = false;
-    v.cacheOwner = 3;
-    EXPECT_TRUE(v.reachable());
-}
-
 TEST(VersionMap, RandomChurnMatchesModel)
 {
     // Seeded create/remove/mask churn against a std::map model of each
