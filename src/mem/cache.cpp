@@ -43,14 +43,6 @@ VersionedCache::findAnyOf(Addr line)
     return nullptr;
 }
 
-VersionedCache::FrameList
-VersionedCache::framesOf(Addr line)
-{
-    FrameList out;
-    forEachFrameOf(line, [&out](CacheLineState &f) { out.push_back(&f); });
-    return out;
-}
-
 int
 VersionedCache::evictClass(const CacheLineState &frame)
 {
@@ -128,22 +120,6 @@ void
 VersionedCache::invalidateVersion(Addr line, VersionTag version)
 {
     invalidate(findVersion(line, version));
-}
-
-void
-VersionedCache::invalidateAll()
-{
-    for (auto &f : frames_)
-        f.valid = false;
-}
-
-void
-VersionedCache::forEach(const std::function<void(CacheLineState &)> &fn)
-{
-    for (auto &f : frames_) {
-        if (f.valid)
-            fn(f);
-    }
 }
 
 std::size_t

@@ -13,10 +13,8 @@
 #define TLSIM_MEM_CACHE_HPP
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "common/small_vec.hpp"
 #include "common/types.hpp"
 #include "mem/geometry.hpp"
 #include "mem/version_tag.hpp"
@@ -38,7 +36,6 @@ struct CacheLineState {
     bool dirty = false;
     bool speculative = false;
     bool committedDirty = false;
-    std::uint8_t writeMask = 0;
     Cycle lastUse = 0;
 };
 
@@ -87,27 +84,6 @@ class VersionedCache
     CacheLineState *findAnyOf(Addr line);
 
     /**
-     * Pointers to every valid frame for @p line. A set holds at most
-     * `assoc` versions of one line, so the list stays inline (no heap
-     * allocation) for every geometry the studies use.
-     */
-    using FrameList = SmallVec<CacheLineState *, 8>;
-    FrameList framesOf(Addr line);
-
-    /** Apply @p fn to every valid frame of @p line (no allocation). */
-    template <typename Fn>
-    void
-    forEachFrameOf(Addr line, Fn &&fn)
-    {
-        CacheLineState *base = setBase(line);
-        for (unsigned w = 0; w < geo_.assoc; ++w) {
-            CacheLineState &f = base[w];
-            if (f.valid && f.line == line)
-                fn(f);
-        }
-    }
-
-    /**
      * Insert a line, choosing a victim if the set is full.
      *
      * @param want the new line contents (valid is forced true)
@@ -120,12 +96,6 @@ class VersionedCache
 
     /** Invalidate the frame holding (line, version), if resident. */
     void invalidateVersion(Addr line, VersionTag version);
-
-    /** Invalidate every frame. */
-    void invalidateAll();
-
-    /** Apply @p fn to every valid frame (mutation allowed). */
-    void forEach(const std::function<void(CacheLineState &)> &fn);
 
     /** Count of valid frames. */
     std::size_t residentLines() const;

@@ -31,10 +31,6 @@ struct UndoLogEntry {
     Addr line = 0;
     /** Producer of the version that was overwritten. */
     VersionTag oldVersion = VersionTag::arch();
-    /** Written-word mask of the overwritten version. */
-    std::uint8_t oldMask = 0;
-    /** Task whose new version displaced oldVersion (group tag). */
-    TaskId overwriting = 0;
 };
 
 /**

@@ -59,7 +59,8 @@ SpeculationEngine::SpeculationEngine(const EngineConfig &cfg,
                                      Workload &workload)
     : cfg_(cfg), workload_(workload),
       memBanks_(cfg.machine.numBanks, cfg.machine.occMemBank),
-      l3Banks_(cfg.machine.numBanks, cfg.machine.occL3Bank)
+      l3Banks_(cfg.machine.numBanks, cfg.machine.occL3Bank),
+      versions_(cfg.scheme.merging)
 {
     const mem::MachineParams &m = cfg_.machine;
 
@@ -131,7 +132,6 @@ SpeculationEngine::SpeculationEngine(const EngineConfig &cfg,
         l2_.push_back(std::make_unique<mem::VersionedCache>(
             m.l2, cfg_.scheme.multiVersion()));
     }
-    overflow_.resize(m.numProcs);
     logs_.resize(m.numProcs);
 
     // Scaled machines declare frozen structure capacities: size the
@@ -140,8 +140,6 @@ SpeculationEngine::SpeculationEngine(const EngineConfig &cfg,
     // the speculative hardware and keeps grow-on-demand).
     if (!cfg_.sequential) {
         mtid_.reserveCapacity(m.mtidCapacityLines);
-        for (auto &area : overflow_)
-            area.reserveCapacity(m.overflowCapacityPerProc);
         for (auto &log : logs_)
             log.reserveTasks(m.undoTasksPerProc);
     }
@@ -154,10 +152,6 @@ SpeculationEngine::SpeculationEngine(const EngineConfig &cfg,
         faults_ = fault::FaultPlan(cfg_.faults);
         if (faults_.nocActive())
             net_->attachFaults(&faults_);
-        if (std::size_t cap = faults_.overflowFaultCapacity()) {
-            for (auto &area : overflow_)
-                area.setFaultCapacity(cap);
-        }
         if (cfg_.faults.undoStressProb > 0.0) {
             for (auto &log : logs_)
                 log.attachFaults(&faults_);
@@ -536,7 +530,7 @@ SpeculationEngine::finishCommit(TaskId id)
         VersionInfo *v = versions_.find(line, r.tag());
         if (!v)
             continue;
-        v->committed = true;
+        versions_.commit(line, *v);
         // Written-footprint statistic. Every store that did not stall
         // set its word's bit in this task's own version, and own
         // versions survive until commit, so the mask bits are exactly
@@ -555,21 +549,16 @@ SpeculationEngine::finishCommit(TaskId id)
             if (!v->inMemory)
                 TLSIM_TRACE_EVENT(trace::Kind::VersionMerge, r.proc,
                                   id, line, r.incarnation);
-            versions_.setMemoryHolder(line, v);
-            mtid_.set(line, v->tag);
-            if (v->inOverflow) {
-                overflow_[r.proc].remove(line, v->tag);
-                v->inOverflow = false;
-                v->cacheOwner = kNoProc;
-            } else if (v->cacheOwner != kNoProc) {
+            if (v->cacheOwner != kNoProc && !v->inOverflow) {
                 // The cached copy becomes a clean replica.
                 if (auto *f = l2_[v->cacheOwner]->findVersion(line,
                                                               v->tag)) {
                     f->dirty = false;
                     f->speculative = false;
                 }
-                v->cacheOwner = kNoProc;
             }
+            versions_.writeBack(line, v);
+            mtid_.set(line, v->tag);
             if (l3_) {
                 mem::CacheLineState cl;
                 cl.line = line;
@@ -705,8 +694,9 @@ SpeculationEngine::finalMergeProc(ProcId proc, Cycle start)
         // write-back; earlier ones are invalidated by the VCL. Both
         // cost a sweep step, but only the write-back travels.
         VersionInfo *latest = versions_.latestCommitted(line);
+        bool spilled = v.inOverflow;
         issue += m.finalMergeGap;
-        if (v.inOverflow) {
+        if (spilled) {
             // Versions in the overflow area have to be accessed
             // eventually (paper Section 5.2): read from local memory.
             issue += m.latLocalMem / 4;
@@ -728,16 +718,14 @@ SpeculationEngine::finalMergeProc(ProcId proc, Cycle start)
                 ow = m.latL3 / 2;
             oneway = std::max(oneway, ow);
             mtid_.set(line, v.tag);
-            versions_.setMemoryHolder(line, &v);
-        }
-        if (v.inOverflow) {
-            overflow_[proc].remove(line, v.tag);
-            v.inOverflow = false;
+            versions_.writeBack(line, &v);
         } else {
+            versions_.dropCopy(line, v);
+        }
+        if (!spilled) {
             l2_[proc]->invalidateVersion(line, v.tag);
             l1_[proc]->invalidateVersion(line, v.tag);
         }
-        v.cacheOwner = kNoProc;
     }
     return issue + oneway;
 }
@@ -830,7 +818,6 @@ SpeculationEngine::squashOne(TaskId id)
     for (Addr line : r.footprint.dirtyLines) {
         l2_[p]->invalidateVersion(line, tag);
         l1_[p]->invalidateVersion(line, tag);
-        overflow_[p].remove(line, tag);
         versions_.remove(line, tag);
     }
 
@@ -902,7 +889,7 @@ SpeculationEngine::runRecoveryQueue()
     for (const mem::UndoLogEntry &e : entries) {
         mtid_.set(e.line, e.oldVersion);
         VersionInfo *v = versions_.find(e.line, e.oldVersion);
-        stealMemoryHolder(e.line, v, proc);
+        saveDisplacedHolder(e.line, versions_.restore(e.line, v), proc);
     }
 
     // lastRecoveryStress is zero unless a fault plan is attached to

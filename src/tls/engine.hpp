@@ -25,7 +25,6 @@
 #include "mem/machine_params.hpp"
 #include "mem/memory_banks.hpp"
 #include "mem/mtid_table.hpp"
-#include "mem/overflow_area.hpp"
 #include "mem/undo_log.hpp"
 #include "noc/interconnect.hpp"
 #include "tls/run_result.hpp"
@@ -129,7 +128,6 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
     std::vector<std::unique_ptr<mem::VersionedCache>> l1_;
     std::vector<std::unique_ptr<mem::VersionedCache>> l2_;
     std::unique_ptr<mem::VersionedCache> l3_; // CMP shared
-    std::vector<mem::OverflowArea> overflow_;
     std::vector<mem::UndoLog> logs_;
     /**
      * Predict+Validate state (empty/idle under validation=None): one
@@ -309,16 +307,21 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
                       Cycle now);
 
     /**
-     * FMM: take the in-memory slot of @p line away from its current
-     * holder (a write-back by @p proc is about to overwrite it). If
-     * losing the slot would leave the old holder with no location at
-     * all, it is parked in @p proc's MHB — the hardware saves the
-     * displaced version to the history buffer before the overwrite
-     * (paper Figure 7-c) — so later fetches retrieve it from there.
-     * @p winner (the version taking the slot, or nullptr when memory
-     * now holds an untracked version) becomes the line's holder.
+     * FMM: @p old (or nullptr) just lost @p line's in-memory slot to a
+     * write-back or recovery replay by @p proc. If that leaves it with
+     * no location at all, it is parked in @p proc's MHB — the hardware
+     * saves the displaced version to the history buffer before the
+     * overwrite (paper Figure 7-c) — so later fetches retrieve it from
+     * there.
      */
-    void stealMemoryHolder(Addr line, VersionInfo *winner, ProcId proc);
+    void saveDisplacedHolder(Addr line, VersionInfo *old, ProcId proc);
+    /**
+     * Spill @p v into its owner's overflow area; growth past the
+     * machine's frozen overflowCapacityPerProc is a panic.
+     */
+    void spillToOverflow(Addr line, VersionInfo &v);
+    /** Fault injection: @p proc's overflow area counts as saturated. */
+    bool overflowPressured(ProcId proc) const;
 
     cpu::LoadReply seqLoad(ProcId proc, Addr addr, Cycle now);
     cpu::StoreReply seqStore(ProcId proc, Addr addr, Cycle now);

@@ -6,7 +6,6 @@
  */
 
 #include <algorithm>
-#include <cstdio>
 #include <string>
 
 #include "common/log.hpp"
@@ -52,27 +51,6 @@ SpeculationEngine::backgroundWriteBack(ProcId proc, Addr line, Cycle when)
     t += memBanks_.access(home, when);
     return t;
 }
-
-namespace {
-
-/** Diagnostic string for location-invariant panics. */
-std::string
-describeVersion(const VersionInfo *v)
-{
-    if (!v)
-        return "(null)";
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "producer=%llu inc=%u committed=%d inMemory=%d "
-                  "cacheOwner=%d inOverflow=%d mhbProc=%d",
-                  (unsigned long long)v->tag.producer,
-                  v->tag.incarnation, int(v->committed), int(v->inMemory),
-                  int(v->cacheOwner), int(v->inOverflow),
-                  int(v->mhbProc));
-    return buf;
-}
-
-} // namespace
 
 Cycle
 SpeculationEngine::fetchLatency(ProcId proc, Addr line, VersionInfo *v,
@@ -267,13 +245,10 @@ SpeculationEngine::handleL2Eviction(ProcId proc,
                     TLSIM_TRACE_EVENT(trace::Kind::VersionMerge, proc,
                                       victim.version.producer, line,
                                       victim.version.incarnation);
-                stealMemoryHolder(line, v, proc);
+                saveDisplacedHolder(line, versions_.writeBack(line, v),
+                                    proc);
                 mtid_.writeBack(line, victim.version);
                 backgroundWriteBack(proc, line, now);
-                if (v) {
-                    v->cacheOwner = kNoProc;
-                    v->inOverflow = false;
-                }
                 counters_.inc(sid_.fmmWritebacks);
             } else {
                 mtid_.writeBack(line, victim.version); // counts reject
@@ -291,8 +266,7 @@ SpeculationEngine::handleL2Eviction(ProcId proc,
         return; // squashed concurrently
 
     if (cfg_.scheme.isAmm()) {
-        overflow_[proc].put(line, victim.version, victim.writeMask);
-        v->inOverflow = true;
+        spillToOverflow(line, *v);
         memBanks_.access(proc % cfg_.machine.numBanks, now);
         counters_.inc(sid_.overflowSpills);
     } else {
@@ -300,18 +274,16 @@ SpeculationEngine::handleL2Eviction(ProcId proc,
             TLSIM_TRACE_EVENT(trace::Kind::VersionMerge, proc,
                               victim.version.producer, line,
                               victim.version.incarnation);
-            stealMemoryHolder(line, v, proc);
+            saveDisplacedHolder(line, versions_.writeBack(line, v), proc);
             mtid_.writeBack(line, victim.version);
             backgroundWriteBack(proc, line, now);
-            v->cacheOwner = kNoProc;
             counters_.inc(sid_.fmmWritebacks);
         } else {
             // Memory already holds a later version: the line must not
             // vanish while its task is alive. Park it in the owner's
             // spill region (see DESIGN.md).
             mtid_.writeBack(line, victim.version); // counts reject
-            overflow_[proc].put(line, victim.version, victim.writeMask);
-            v->inOverflow = true;
+            spillToOverflow(line, *v);
             counters_.inc(sid_.mtidRejectedSpills);
         }
     }
@@ -333,21 +305,35 @@ SpeculationEngine::faultSpillVersion(ProcId proc, Addr line,
 }
 
 void
-SpeculationEngine::stealMemoryHolder(Addr line, VersionInfo *winner,
-                                     ProcId proc)
+SpeculationEngine::spillToOverflow(Addr line, VersionInfo &v)
 {
-    VersionInfo *old = versions_.setMemoryHolder(line, winner);
-    if (!old)
-        return;
-    if (old->cacheOwner == kNoProc && !old->inOverflow &&
-        old->mhbProc == kNoProc) {
-        // Memory was the holder's only copy. The FMM hardware saves
-        // the displaced version into the local history buffer before
-        // the overwrite reaches memory; without this, an uncommitted
-        // (or still-needed committed) version would become
-        // unreachable the moment a later write-back lands.
-        old->mhbProc = proc;
-    }
+    versions_.spill(line, v);
+    std::size_t cap = cfg_.machine.overflowCapacityPerProc;
+    if (cap != 0 && versions_.spilledBy(v.cacheOwner) > cap)
+        panic("spillToOverflow: processor " +
+              std::to_string(v.cacheOwner) +
+              "'s overflow area outgrew its frozen capacity of " +
+              std::to_string(cap) + " versions");
+}
+
+bool
+SpeculationEngine::overflowPressured(ProcId proc) const
+{
+    std::size_t cap = faults_.overflowFaultCapacity();
+    return cap != 0 && versions_.spilledBy(proc) >= cap;
+}
+
+void
+SpeculationEngine::saveDisplacedHolder(Addr line, VersionInfo *old,
+                                       ProcId proc)
+{
+    // Memory was the holder's only copy. The FMM hardware saves the
+    // displaced version into the local history buffer before the
+    // overwrite reaches memory; without this, an uncommitted (or
+    // still-needed committed) version would become unreachable the
+    // moment a later write-back lands.
+    if (old && old->cacheOwner == kNoProc && old->mhbProc == kNoProc)
+        versions_.parkInMhb(line, *old, proc);
 }
 
 void
@@ -359,39 +345,32 @@ SpeculationEngine::vclMergeLine(Addr line, Cycle now)
     VersionTag keep = latest->tag;
 
     if (!latest->inMemory) {
-        versions_.setMemoryHolder(line, latest);
-        TLSIM_TRACE_EVENT(trace::Kind::VersionMerge,
-                          latest->cacheOwner, keep.producer, line,
-                          keep.incarnation);
         ProcId owner = latest->cacheOwner;
+        bool spilled = latest->inOverflow;
+        versions_.writeBack(line, latest);
+        TLSIM_TRACE_EVENT(trace::Kind::VersionMerge, owner, keep.producer,
+                          line, keep.incarnation);
         if (owner != kNoProc) {
-            if (latest->inOverflow)
-                overflow_[owner].remove(line, keep);
-            else {
+            if (!spilled) {
                 l2_[owner]->invalidateVersion(line, keep);
                 l1_[owner]->invalidateVersion(line, keep);
             }
             backgroundWriteBack(owner, line, now);
         }
-        latest->cacheOwner = kNoProc;
-        latest->inOverflow = false;
         mtid_.set(line, keep);
         counters_.inc(sid_.vclWritebacks);
     }
 
     // Earlier committed versions are superseded and dead: invalidate
-    // their copies and drop them. The scan's tag list lives in a
-    // member scratch buffer; vclMergeLine never reenters itself.
+    // their copies and drop them (remove() frees an overflowed copy).
+    // The scan's tag list lives in a member scratch buffer;
+    // vclMergeLine never reenters itself.
     deadScratch_.clear();
     for (auto &vv : versions_.versionsOf(line)) {
         if (vv.committed && !(vv.tag == keep)) {
-            if (vv.cacheOwner != kNoProc) {
-                if (vv.inOverflow)
-                    overflow_[vv.cacheOwner].remove(line, vv.tag);
-                else {
-                    l2_[vv.cacheOwner]->invalidateVersion(line, vv.tag);
-                    l1_[vv.cacheOwner]->invalidateVersion(line, vv.tag);
-                }
+            if (vv.cacheOwner != kNoProc && !vv.inOverflow) {
+                l2_[vv.cacheOwner]->invalidateVersion(line, vv.tag);
+                l1_[vv.cacheOwner]->invalidateVersion(line, vv.tag);
             }
             deadScratch_.push_back(vv.tag);
         }
@@ -523,9 +502,9 @@ SpeculationEngine::loadForTask(ProcId proc, Addr addr, Cycle now,
         lat = fetchLatency(proc, line, v, now, &src);
         // While speculative state has spilled, AMM misses must also
         // consult the overflow-area tables in local memory.
-        if (cfg_.scheme.isAmm() && overflow_[proc].size() > 0) {
+        if (cfg_.scheme.isAmm() && versions_.spilledBy(proc) > 0) {
             lat += m.overflowCheckCycles;
-            if (overflow_[proc].faultPressured())
+            if (overflowPressured(proc))
                 lat += faults_.overflowPressurePenalty();
             memBanks_.access(proc % m.numBanks, now);
             counters_.inc(sid_.overflowChecks);
@@ -616,37 +595,31 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
         // Subsequent store to a line this task already versioned.
         own->writeMask |= bit;
         if (CacheLineState *f1 = l1_[proc]->findVersion(line, my_tag)) {
-            // Uncontended-hit fast path: own version, own L1. Mask
-            // updates only — no Resource, directory or displacement
-            // work is possible.
+            // Uncontended-hit fast path: own version, own L1. The mask
+            // update above is all — no Resource, directory or
+            // displacement work is possible.
             f1->lastUse = now;
-            f1->writeMask |= bit;
-            if (CacheLineState *f2 = l2_[proc]->findVersion(line, my_tag))
-                f2->writeMask |= bit;
             return {m.latL1, cpu::StoreStall::None, 0};
         }
         Cycle lat;
         if (CacheLineState *f2 =
                        l2_[proc]->findVersion(line, my_tag)) {
             f2->lastUse = now;
-            f2->writeMask |= bit;
             lat = m.latL2 + l2Ports_[proc].acquire(now, m.occL2Port);
             insertLineL1(proc, line, my_tag, now);
         } else if (own->inOverflow) {
             // Bring the spilled version back into the L2.
             lat = m.latLocalMem +
                   memBanks_.access(proc % m.numBanks, now);
-            if (overflow_[proc].faultPressured())
+            if (overflowPressured(proc))
                 lat += faults_.overflowPressurePenalty();
-            overflow_[proc].remove(line, my_tag);
-            own->inOverflow = false;
+            versions_.refill(line, *own, proc);
             counters_.inc(sid_.overflowRefetches);
             CacheLineState cl;
             cl.line = line;
             cl.version = my_tag;
             cl.dirty = true;
             cl.speculative = true;
-            cl.writeMask = own->writeMask;
             insertLineL2(proc, cl, now);
             insertLineL1(proc, line, my_tag, now);
         } else if (own->inMemory || own->mhbProc != kNoProc) {
@@ -654,14 +627,12 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
             // in a history buffer by a later write-back); refetch.
             Source src;
             lat = fetchLatency(proc, line, own, now, &src);
-            own = versions_.find(line, my_tag);
-            own->cacheOwner = proc;
+            versions_.refill(line, *own, proc);
             CacheLineState cl;
             cl.line = line;
             cl.version = my_tag;
             cl.dirty = true;
             cl.speculative = true;
-            cl.writeMask = own->writeMask;
             insertLineL2(proc, cl, now);
             insertLineL1(proc, line, my_tag, now);
             counters_.inc(sid_.fmmRefetches);
@@ -694,7 +665,6 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
     VersionInfo *prev =
         list ? VersionMap::latestVisibleIn(*list, task) : nullptr;
     VersionTag prev_tag = prev ? prev->tag : VersionTag::arch();
-    std::uint8_t prev_mask = prev ? prev->writeMask : 0;
     unsigned home = homeOf(line);
     Cycle fill;
     if (m.isNuma()) {
@@ -708,15 +678,10 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
     if (cfg_.scheme.merging == Merging::FMM) {
         // MHB: save the most recent earlier version before creating
         // our own (Figure 7-c).
-        mem::UndoLogEntry e;
-        e.line = line;
-        e.oldVersion = prev_tag;
-        e.oldMask = prev_mask;
-        e.overwriting = task;
-        logs_[proc].append(task, e);
+        logs_[proc].append(task, {line, prev_tag});
         counters_.inc(sid_.logAppends);
         if (prev)
-            prev->mhbProc = proc;
+            versions_.parkInMhb(line, *prev, proc);
         if (cfg_.scheme.softwareLog) {
             // Garzaran01: plain instructions save the old version.
             extra_instrs = m.swLogInstrPerEntry;
@@ -732,11 +697,11 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
     r.noteDirtyLine(line);
 
     Cycle lat = fill;
-    if (cfg_.scheme.isAmm() && overflow_[proc].size() > 0) {
+    if (cfg_.scheme.isAmm() && versions_.spilledBy(proc) > 0) {
         // The new version's line address must be checked against the
         // overflow-area tables.
         lat += m.overflowCheckCycles;
-        if (overflow_[proc].faultPressured())
+        if (overflowPressured(proc))
             lat += faults_.overflowPressurePenalty();
         memBanks_.access(proc % m.numBanks, now);
         counters_.inc(sid_.overflowChecks);
@@ -746,7 +711,6 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
     cl.version = my_tag;
     cl.dirty = true;
     cl.speculative = true;
-    cl.writeMask = bit;
     lat += insertLineL2(proc, cl, now);
     insertLineL1(proc, line, my_tag, now);
     counters_.inc(sid_.versionsCreated);

@@ -16,15 +16,23 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "common/flat_map.hpp"
 #include "common/small_vec.hpp"
 #include "common/types.hpp"
 #include "mem/version_tag.hpp"
+#include "tls/scheme.hpp"
 
 namespace tlsim::tls {
 
-/** Where the data of one version can be found. */
+/**
+ * Where the data of one version can be found. The location fields
+ * (committed through mhbProc) are written only by VersionMap's
+ * transitions, each of which checks that the result is legal for the
+ * map's merging policy (DESIGN.md §6c).
+ */
 struct VersionInfo {
     mem::VersionTag tag;
     std::uint8_t writeMask = 0;
@@ -40,6 +48,9 @@ struct VersionInfo {
     ProcId mhbProc = kNoProc;
 };
 
+/** Diagnostic string for location-invariant panics. */
+std::string describeVersion(const VersionInfo *v);
+
 /**
  * Per-line version list.
  *
@@ -51,14 +62,21 @@ struct VersionInfo {
 using VersionList = SmallVec<VersionInfo, 2>;
 
 /**
- * Versions of all lines, ordered by producer within each line.
+ * Versions of all lines, ordered by producer within each line, and the
+ * one record of where each version's data lives.
  *
  * Two invariants per line let lookups skip the line's history: the
  * list is sorted by producer with unique producers (create() panics on
  * a duplicate), so producer-keyed lookups binary-search; and at most
- * one version has inMemory set (setMemoryHolder() is the only way the
- * engine moves it), so memoryHolder() scans from the youngest end,
- * where the holder almost always is.
+ * one version has inMemory set (writeBack() and restore() are the only
+ * ways it moves), so memoryHolder() scans from the youngest end, where
+ * the holder almost always is.
+ *
+ * Every location change is one of the named transitions below. Each
+ * checks the fields it leaves against the legal combinations of the
+ * map's merging policy and panics with describeVersion() on an illegal
+ * one. The transitions also keep each processor's count of
+ * versions in its overflow area (spilledBy()).
  *
  * The line→versions index is an open-addressed FlatMap: one probe per
  * access instead of a node chase, and squash-time line removals shift
@@ -71,11 +89,8 @@ using VersionList = SmallVec<VersionInfo, 2>;
 class VersionMap
 {
   public:
-    /**
-     * The youngest version with producer <= @p reader, or nullptr when
-     * the reader should see the architectural/pre-section state.
-     */
-    VersionInfo *latestVisible(Addr line, TaskId reader);
+    /** @p merging fixes which location states are legal. */
+    explicit VersionMap(Merging merging) : merging_(merging) {}
 
     /** The version with exactly @p tag, or nullptr. */
     VersionInfo *find(Addr line, mem::VersionTag tag);
@@ -83,24 +98,8 @@ class VersionMap
     /** The version currently held by main memory, or nullptr (arch). */
     VersionInfo *memoryHolder(Addr line);
 
-    /**
-     * Make @p holder (a version of @p line, or nullptr when memory now
-     * holds a version that is no longer tracked) the line's only
-     * in-memory version: clears the previous holder's flag and returns
-     * it, or nullptr when there was none or it already was @p holder.
-     */
-    VersionInfo *setMemoryHolder(Addr line, VersionInfo *holder);
-
     /** The youngest committed version of @p line, or nullptr. */
     VersionInfo *latestCommitted(Addr line);
-
-    /**
-     * Word-granularity visibility for violation detection: producer of
-     * the youngest version <= @p reader that wrote the word selected
-     * by @p word_bit, or 0 (architectural).
-     */
-    TaskId latestWordWriter(Addr line, std::uint8_t word_bit,
-                            TaskId reader);
 
     /** All versions of @p line (ascending producer). */
     VersionList &versionsOf(Addr line);
@@ -112,7 +111,10 @@ class VersionMap
         return lines_.find(line);
     }
 
-    /** latestVisible over an already-fetched list. */
+    /**
+     * The youngest version with producer <= @p reader, or nullptr when
+     * the reader should see the architectural/pre-section state.
+     */
     static VersionInfo *
     latestVisibleIn(VersionList &list, TaskId reader)
     {
@@ -135,7 +137,11 @@ class VersionMap
         return pos != list.end() && pos->tag == tag ? pos : nullptr;
     }
 
-    /** latestWordWriter over an already-fetched list. */
+    /**
+     * Word-granularity visibility for violation detection: producer of
+     * the youngest version <= @p reader that wrote the word selected
+     * by @p word_bit, or 0 (architectural).
+     */
     static TaskId
     latestWordWriterIn(const VersionList &list, std::uint8_t word_bit,
                        TaskId reader)
@@ -155,13 +161,59 @@ class VersionMap
     }
 
     /**
-     * Create a version (keeps the per-line vector sorted by producer).
+     * Create a version cached in @p owner's L2 (keeps the per-line
+     * vector sorted by producer).
      * @pre no version with the same producer exists for the line.
      */
     VersionInfo &create(Addr line, mem::VersionTag tag, ProcId owner);
 
     /** Remove the version with @p tag (squash). No-op if absent. */
     void remove(Addr line, mem::VersionTag tag);
+
+    /** @name Location transitions (@p v is a version of @p line) */
+    ///@{
+    /** The producing task committed. */
+    void commit(Addr line, VersionInfo &v);
+
+    /** @p v leaves its owner's L2 for that processor's overflow area. */
+    void spill(Addr line, VersionInfo &v);
+
+    /**
+     * @p v comes back into @p proc's L2: out of the overflow area (then
+     * @p proc is already its owner), or, under FMM only, out of memory
+     * or an MHB, which keep their copies.
+     */
+    void refill(Addr line, VersionInfo &v, ProcId proc);
+
+    /**
+     * @p v (nullptr: a version that is no longer tracked) becomes
+     * memory's holder and loses its cached copy, in the L2 or the
+     * overflow area. Returns the displaced holder, or nullptr when
+     * there was none or it already was @p v. Under FMM the caller
+     * parks a displaced holder left without a copy (parkInMhb).
+     */
+    VersionInfo *writeBack(Addr line, VersionInfo *v);
+
+    /**
+     * FMM recovery: memory holds @p v (nullptr: untracked) again,
+     * while its cached copies stay where they are. Returns the
+     * displaced holder as writeBack() does.
+     */
+    VersionInfo *restore(Addr line, VersionInfo *v);
+
+    /** @p v loses its cached copy without a write-back (superseded). */
+    void dropCopy(Addr line, VersionInfo &v);
+
+    /** FMM: @p proc's MHB saves a backup copy of @p v. */
+    void parkInMhb(Addr line, VersionInfo &v, ProcId proc);
+    ///@}
+
+    /** Versions in @p proc's overflow area. */
+    std::size_t
+    spilledBy(ProcId proc) const
+    {
+        return proc < spilled_.size() ? spilled_[proc] : 0;
+    }
 
     /**
      * Apply @p fn(Addr, VersionInfo &) to every (line, version) pair,
@@ -196,8 +248,18 @@ class VersionMap
                                 });
     }
 
+    /** Make @p holder memory's only holder; return the previous one. */
+    VersionInfo *moveMemoryHolder(Addr line, VersionInfo *holder);
+    /** Take @p v out of its owner's overflow area, if it is there. */
+    void unspill(VersionInfo &v);
+    /** Panic unless @p v's location fields are legal (DESIGN.md §6c). */
+    void check(Addr line, const VersionInfo &v);
+
+    Merging merging_;
     FlatMap<Addr, VersionList> lines_;
     std::size_t totalVersions_ = 0;
+    /** Per processor: versions in its overflow area. */
+    std::vector<std::size_t> spilled_;
 };
 
 } // namespace tlsim::tls

@@ -23,7 +23,6 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "mem/mtid_table.hpp"
-#include "mem/overflow_area.hpp"
 #include "mem/undo_log.hpp"
 #include "sim/result_cache.hpp"
 #include "sim/study.hpp"
@@ -238,19 +237,18 @@ constexpr unsigned kAccessProcs = 16;
  * version home index (the specLoad visibility query); a quarter are
  * stores that hit their own version or create one (undo-log append
  * plus sorted version insert); a slice are L2 evictions that either
- * write back through the MTID check or spill to the overflow area; and
- * a sliding window of in-flight tasks retires in order, committing
- * (group drop, overflow sweep) or squashing (MHB recovery replay into
- * the MTID table).
+ * write back through the MTID check or spill through the version map;
+ * and a sliding window of in-flight tasks retires in order, committing
+ * (group drop) or squashing (MHB recovery replay into the MTID table),
+ * and either way removes its versions, spilled or not.
  *
  * The footprint is bounded by construction — at most two versions per
  * line (so VersionList stays inline) and a fixed task window — so the
  * steady state must not allocate once warmed.
  */
 struct AccessDriver {
-    tls::VersionMap vmap;
+    tls::VersionMap vmap{tls::Merging::FMM};
     mem::MtidTable mtid;
-    mem::OverflowArea ovf;
     mem::UndoLog undo;
     tls::ViolationDetector det;
     std::vector<FlatSet<Addr>> readWords{kAccessWindow};
@@ -263,14 +261,15 @@ struct AccessDriver {
     std::uint32_t rr = 0; // round-robin reader cursor
     std::vector<std::vector<Addr>> dirty{kAccessWindow};
     std::vector<mem::UndoLogEntry> recovery;
+    std::uint64_t spills = 0;
 
     /**
      * Accesses visit the window's tasks round-robin, so each task
      * issues exactly kAccessOpsPerRetire accesses over its lifetime — a
      * small, deterministic per-task bound on undo-group size, read/
-     * write-set size, dirty lines and overflow entries. Warm every
-     * per-task structure to that bound here; the line-keyed tables
-     * saturate during the warm-up run.
+     * write-set size and dirty lines. Warm every per-task structure to
+     * that bound here; the line-keyed tables saturate during the
+     * warm-up run.
      */
     AccessDriver()
     {
@@ -288,19 +287,14 @@ struct AccessDriver {
                 undo.append(t, mem::UndoLogEntry{});
             undo.dropTask(t);
         }
-        // Overflow area and violation-word table: warm to the hard
-        // bound of concurrently live entries (kAccessWindow tasks times
-        // kPerTask each), via a throwaway word set.
+        // Violation-word table: warm to the hard bound of concurrently
+        // live entries (kAccessWindow tasks times kPerTask each), via a
+        // throwaway word set.
         FlatSet<Addr> words;
         for (std::uint32_t i = 0; i < kAccessWindow * kPerTask; ++i) {
             const Addr line = kAccessLineBase + Addr(i % kAccessLines) * 64;
-            ovf.put(line, mem::VersionTag{scratchTask + i, 1}, 1);
             words.insert(line + (i / kAccessLines) % 8);
             det.noteRead(line + (i / kAccessLines) % 8, scratchTask, 0);
-        }
-        for (std::uint32_t i = 0; i < kAccessWindow * kPerTask; ++i) {
-            const Addr line = kAccessLineBase + Addr(i % kAccessLines) * 64;
-            ovf.remove(line, mem::VersionTag{scratchTask + i, 1});
         }
         det.dropReader(scratchTask, words);
     }
@@ -334,13 +328,10 @@ struct AccessDriver {
         // window, which bounds the detector's inline record storage.
         tls::VersionList *list = vmap.listOf(line);
         mem::VersionTag prevTag = mem::VersionTag::arch();
-        std::uint8_t prevMask = 0;
         if (tls::VersionInfo *v =
                 list ? tls::VersionMap::latestVisibleIn(*list, reader)
-                     : nullptr) {
+                     : nullptr)
             prevTag = v->tag;
-            prevMask = v->writeMask;
-        }
         if (readWords[slot].insert(line + Addr(slot))) {
             det.noteRead(line + Addr(slot), reader,
                          list ? tls::VersionMap::latestWordWriterIn(
@@ -359,17 +350,20 @@ struct AccessDriver {
             } else if (vmap.versionsOf(line).size() < 2) {
                 // versionsOf/create may grow the index: list and own
                 // are dead past this point.
-                undo.append(reader, {line, prevTag, prevMask, reader});
+                undo.append(reader, {line, prevTag});
                 vmap.create(line, tag, ProcId(reader % kAccessProcs))
                     .writeMask = bit;
                 dirty[slot].push_back(line);
             }
-        } else if ((roll & 15u) == 1 && own != nullptr) {
+        } else if ((roll & 15u) == 1 && own != nullptr &&
+                   !own->inOverflow) {
             // L2 eviction of own version.
-            if ((roll & 16u) != 0 && mtid.wouldAccept(line, tag))
+            if ((roll & 16u) != 0 && mtid.wouldAccept(line, tag)) {
                 mtid.writeBack(line, tag);
-            else
-                ovf.put(line, tag, bit);
+            } else {
+                vmap.spill(line, *own);
+                ++spills;
+            }
         }
 
         if (++sinceRetire >= kAccessOpsPerRetire &&
@@ -389,16 +383,11 @@ struct AccessDriver {
             undo.takeForRecovery(t, recovery);
             for (const mem::UndoLogEntry &e : recovery)
                 mtid.set(e.line, e.oldVersion);
-            // Squash discards every spilled version the task produced;
-            // commits retire spills line by line below.
-            ovf.dropTask(t);
         } else { // commit: free the group
             undo.dropTask(t);
         }
-        for (Addr l : dirty[slot]) {
-            ovf.remove(l, tag);
+        for (Addr l : dirty[slot])
             vmap.remove(l, tag);
-        }
         dirty[slot].clear();
         det.dropReader(t, readWords[slot]);
         readWords[slot].clear();
@@ -419,11 +408,11 @@ TEST(AllocFree, MemoryStateAccessPath)
     constexpr long kOps = 300'000;
     d.run(kOps); // warm every table and slab to steady-state capacity
     const std::uint64_t appends = d.undo.totalAppends();
-    const std::uint64_t spills = d.ovf.totalSpills();
+    const std::uint64_t spills = d.spills;
     const long long allocs = allocationsDuring([&] { d.run(kOps); });
     // The window created versions and spilled some of them.
     EXPECT_GT(d.undo.totalAppends(), appends);
-    EXPECT_GT(d.ovf.totalSpills(), spills);
+    EXPECT_GT(d.spills, spills);
     EXPECT_EQ(allocs, 0);
 }
 

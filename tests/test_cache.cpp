@@ -98,7 +98,6 @@ TEST(VersionedCache, MultiVersionKeepsSeveralVersionsOfOneLine)
     c.insert(line(5, 3, true, true), 2);
     EXPECT_EQ(c.versionsResident(5), 3u);
     EXPECT_NE(c.findVersion(5, VersionTag{2, 1}), nullptr);
-    EXPECT_EQ(c.framesOf(5).size(), 3u);
 }
 
 TEST(VersionedCache, SingleVersionReplacesInPlace)
@@ -173,18 +172,4 @@ TEST(VersionedCache, IncarnationsDistinguishReexecutions)
     old_inc.version.incarnation = 1;
     c.insert(old_inc, 0);
     EXPECT_EQ(c.findVersion(5, VersionTag{3, 2}), nullptr);
-}
-
-TEST(VersionedCache, ForEachVisitsOnlyValidFrames)
-{
-    VersionedCache c(CacheGeometry::of(4096, 2), true);
-    c.insert(line(1, 1), 0);
-    c.insert(line(2, 2), 0);
-    c.invalidateVersion(1, VersionTag{1, 1});
-    int n = 0;
-    c.forEach([&](CacheLineState &) { ++n; });
-    EXPECT_EQ(n, 1);
-    EXPECT_EQ(c.residentLines(), 1u);
-    c.invalidateAll();
-    EXPECT_EQ(c.residentLines(), 0u);
 }

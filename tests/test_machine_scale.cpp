@@ -4,7 +4,7 @@
  * factory/byName sanity, hierarchical-directory fields, and — the part
  * that actually bites — the frozen speculative-structure capacities:
  * full synthetic runs must fit without tripping a freezeCapacity
- * panic, and an undersized frozen table must panic loudly.
+ * panic, and undersizing a frozen capacity must panic loudly.
  */
 
 #include <gtest/gtest.h>
@@ -12,8 +12,9 @@
 #include "apps/synth_workload.hpp"
 #include "mem/machine_params.hpp"
 #include "mem/mtid_table.hpp"
-#include "mem/overflow_area.hpp"
 #include "sim/study.hpp"
+#include "tls/engine.hpp"
+#include "tls/scripted_workload.hpp"
 
 using namespace tlsim;
 using mem::MachineParams;
@@ -148,12 +149,23 @@ TEST(MachineScaleDeathTest, UndersizedFrozenMtidTablePanics)
 
 TEST(MachineScaleDeathTest, UndersizedFrozenOverflowAreaPanics)
 {
-    mem::OverflowArea area;
-    area.reserveCapacity(1);
+    // One task writes 128 lines into a 32-line L2 under an AMM scheme:
+    // about 96 versions spill, far past a declared capacity of 4.
+    MachineParams m = MachineParams::numa16();
+    m.l2 = mem::CacheGeometry::of(16 * 64 * 2, 2);
+    m.l1 = mem::CacheGeometry::of(4 * 64 * 2, 2);
+    m.overflowCapacityPerProc = 4;
+    std::vector<cpu::Op> ops;
+    for (int w = 0; w < 128; ++w)
+        ops.push_back(cpu::Op::store(0x4000'0000 + Addr(w) * 64));
+    tls::EngineConfig cfg;
+    cfg.scheme = tls::SchemeConfig::make(tls::Separation::MultiTMV,
+                                         tls::Merging::LazyAMM);
+    cfg.machine = m;
     EXPECT_DEATH(
         {
-            for (Addr line = 0; line < 64; ++line)
-                area.put(line, VersionTag{TaskId(line + 1), 0}, 0xff);
+            tls::ScriptedWorkload wl({ops});
+            tls::SpeculationEngine(cfg, wl).run();
         },
-        "frozen");
+        "frozen capacity");
 }

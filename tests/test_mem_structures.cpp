@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for the overflow area, the undo log (MHB), the MTID table and
- * machine parameters.
+ * Tests for the undo log (MHB), the MTID table and machine parameters.
  */
 
 #include <gtest/gtest.h>
@@ -10,68 +9,22 @@
 #include <cstdint>
 #include <map>
 #include <random>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "mem/machine_params.hpp"
 #include "mem/mtid_table.hpp"
-#include "mem/overflow_area.hpp"
 #include "mem/undo_log.hpp"
 
 using namespace tlsim;
 using namespace tlsim::mem;
 
-TEST(OverflowArea, PutContainsRemove)
-{
-    OverflowArea area;
-    VersionTag v{3, 1};
-    area.put(10, v, 0x0f);
-    EXPECT_TRUE(area.contains(10, v));
-    EXPECT_FALSE(area.contains(10, VersionTag{4, 1}));
-    EXPECT_FALSE(area.contains(11, v));
-    EXPECT_TRUE(area.remove(10, v));
-    EXPECT_FALSE(area.remove(10, v));
-    EXPECT_EQ(area.size(), 0u);
-}
-
-TEST(OverflowArea, RepeatedPutMergesMask)
-{
-    OverflowArea area;
-    VersionTag v{3, 1};
-    area.put(10, v, 0x01);
-    area.put(10, v, 0x02);
-    EXPECT_EQ(area.size(), 1u);
-    EXPECT_EQ(area.totalSpills(), 1u);
-}
-
-TEST(OverflowArea, DropTaskRemovesAllItsEntries)
-{
-    OverflowArea area;
-    area.put(10, VersionTag{3, 1}, 1);
-    area.put(11, VersionTag{3, 1}, 1);
-    area.put(12, VersionTag{4, 1}, 1);
-    area.dropTask(3);
-    EXPECT_EQ(area.size(), 1u);
-    EXPECT_TRUE(area.contains(12, VersionTag{4, 1}));
-}
-
-TEST(OverflowArea, PeakTracksHighWaterMark)
-{
-    OverflowArea area;
-    area.put(1, VersionTag{1, 1}, 1);
-    area.put(2, VersionTag{1, 1}, 1);
-    area.remove(1, VersionTag{1, 1});
-    area.put(3, VersionTag{1, 1}, 1);
-    EXPECT_EQ(area.peakSize(), 2u);
-}
-
 TEST(UndoLog, GroupsByOverwritingTask)
 {
     UndoLog log;
-    log.append(5, UndoLogEntry{10, VersionTag{3, 1}, 0x1, 5});
-    log.append(5, UndoLogEntry{11, VersionTag{4, 1}, 0x2, 5});
-    log.append(6, UndoLogEntry{10, VersionTag{5, 1}, 0x1, 6});
+    log.append(5, UndoLogEntry{10, VersionTag{3, 1}});
+    log.append(5, UndoLogEntry{11, VersionTag{4, 1}});
+    log.append(6, UndoLogEntry{10, VersionTag{5, 1}});
     EXPECT_EQ(log.countOf(5), 2u);
     EXPECT_EQ(log.countOf(6), 1u);
     EXPECT_EQ(log.size(), 3u);
@@ -81,9 +34,9 @@ TEST(UndoLog, RecoveryReturnsEntriesInReverseOrder)
 {
     // FMM recovery replays the MHB in strict reverse order.
     UndoLog log;
-    log.append(5, UndoLogEntry{10, VersionTag{1, 1}, 0, 5});
-    log.append(5, UndoLogEntry{11, VersionTag{2, 1}, 0, 5});
-    log.append(5, UndoLogEntry{12, VersionTag{3, 1}, 0, 5});
+    log.append(5, UndoLogEntry{10, VersionTag{1, 1}});
+    log.append(5, UndoLogEntry{11, VersionTag{2, 1}});
+    log.append(5, UndoLogEntry{12, VersionTag{3, 1}});
     auto entries = log.takeForRecovery(5);
     ASSERT_EQ(entries.size(), 3u);
     EXPECT_EQ(entries[0].line, 12u);
@@ -96,7 +49,7 @@ TEST(UndoLog, CommitFreesTheGroup)
 {
     // "When an instruction commits, its history buffer entry is freed."
     UndoLog log;
-    log.append(5, UndoLogEntry{10, VersionTag{1, 1}, 0, 5});
+    log.append(5, UndoLogEntry{10, VersionTag{1, 1}});
     log.dropTask(5);
     EXPECT_EQ(log.size(), 0u);
     EXPECT_TRUE(log.takeForRecovery(5).empty());
@@ -109,13 +62,13 @@ TEST(UndoLog, RecoveryDrainsOnlyTheSquashedTasksSlab)
     // of other in-flight tasks stay untouched and the drained slab no
     // longer reports entries.
     UndoLog log;
-    log.append(5, UndoLogEntry{10, VersionTag{1, 1}, 0x1, 5});
-    log.append(6, UndoLogEntry{20, VersionTag{2, 1}, 0x2, 6});
-    log.append(5, UndoLogEntry{11, VersionTag{3, 1}, 0x4, 5});
-    log.append(7, UndoLogEntry{30, VersionTag{4, 1}, 0x8, 7});
+    log.append(5, UndoLogEntry{10, VersionTag{1, 1}});
+    log.append(6, UndoLogEntry{20, VersionTag{2, 1}});
+    log.append(5, UndoLogEntry{11, VersionTag{3, 1}});
+    log.append(7, UndoLogEntry{30, VersionTag{4, 1}});
 
     std::vector<UndoLogEntry> scratch;
-    scratch.push_back(UndoLogEntry{99, VersionTag{9, 9}, 0xff, 9});
+    scratch.push_back(UndoLogEntry{99, VersionTag{9, 9}});
     log.takeForRecovery(5, scratch); // overwrites, never appends
     ASSERT_EQ(scratch.size(), 2u);
     EXPECT_EQ(scratch[0].line, 11u); // reverse append order
@@ -145,10 +98,10 @@ TEST(UndoLog, RecycledSlotStartsEmptyForTheNextTask)
     // Commit and recovery return slab slots to the free list; a task
     // that later reuses the slot must not see stale entries.
     UndoLog log;
-    log.append(5, UndoLogEntry{10, VersionTag{1, 1}, 0, 5});
-    log.append(5, UndoLogEntry{11, VersionTag{2, 1}, 0, 5});
+    log.append(5, UndoLogEntry{10, VersionTag{1, 1}});
+    log.append(5, UndoLogEntry{11, VersionTag{2, 1}});
     log.dropTask(5);
-    log.append(8, UndoLogEntry{40, VersionTag{3, 1}, 0, 8});
+    log.append(8, UndoLogEntry{40, VersionTag{3, 1}});
     EXPECT_EQ(log.countOf(8), 1u);
     EXPECT_EQ(log.entriesOf(8)[0].line, 40u);
     EXPECT_EQ(log.size(), 1u);
@@ -156,7 +109,7 @@ TEST(UndoLog, RecycledSlotStartsEmptyForTheNextTask)
     std::vector<UndoLogEntry> scratch;
     log.takeForRecovery(8, scratch);
     ASSERT_EQ(scratch.size(), 1u);
-    log.append(9, UndoLogEntry{50, VersionTag{4, 1}, 0, 9});
+    log.append(9, UndoLogEntry{50, VersionTag{4, 1}});
     EXPECT_EQ(log.countOf(9), 1u);
     EXPECT_EQ(log.entriesOf(9)[0].line, 50u);
 }
@@ -250,60 +203,6 @@ TEST(MtidTable, RandomChurnMatchesModel)
     EXPECT_EQ(t.rejects(), rejects);
 }
 
-TEST(OverflowArea, RandomChurnMatchesModel)
-{
-    std::mt19937_64 rng(0x0f10);
-    OverflowArea area;
-    using Key = std::tuple<Addr, TaskId, std::uint32_t>;
-    std::map<Key, std::uint8_t> model;
-    std::uint64_t spills = 0;
-    std::size_t peak = 0;
-    for (int i = 0; i < 20000; ++i) {
-        const Addr line = Addr(rng() % 48) * 64;
-        const VersionTag tag{TaskId(1 + rng() % 12),
-                             std::uint32_t(rng() % 2)};
-        const Key key{line, tag.producer, tag.incarnation};
-        switch (rng() % 8) {
-        case 0:
-        case 1:
-        case 2: { // spill (a repeat spill merges the mask)
-            const auto mask = std::uint8_t(1u << (rng() % 8));
-            auto [it, inserted] = model.emplace(key, mask);
-            if (inserted)
-                ++spills;
-            else
-                it->second |= mask;
-            area.put(line, tag, mask);
-            break;
-        }
-        case 3:
-        case 4:
-            ASSERT_EQ(area.contains(line, tag), model.count(key) == 1)
-                << "op " << i;
-            break;
-        case 5:
-        case 6:
-            ASSERT_EQ(area.remove(line, tag), model.erase(key) == 1)
-                << "op " << i;
-            break;
-        default: // squash: every entry of one producer goes
-            area.dropTask(tag.producer);
-            std::erase_if(model, [&](const auto &kv) {
-                return std::get<1>(kv.first) == tag.producer;
-            });
-            break;
-        }
-        peak = std::max(peak, model.size());
-        ASSERT_EQ(area.size(), model.size()) << "op " << i;
-    }
-    for (const auto &[key, mask] : model) {
-        EXPECT_TRUE(area.contains(std::get<0>(key),
-                                  {std::get<1>(key), std::get<2>(key)}));
-    }
-    EXPECT_EQ(area.totalSpills(), spills);
-    EXPECT_EQ(area.peakSize(), peak);
-}
-
 TEST(UndoLog, RandomChurnRecoversInReverseOrder)
 {
     std::mt19937_64 rng(0x0dd);
@@ -316,8 +215,7 @@ TEST(UndoLog, RandomChurnRecoversInReverseOrder)
         const unsigned roll = unsigned(rng() % 10);
         if (roll < 7) {
             const UndoLogEntry e{Addr(rng() % 256) * 64,
-                                 VersionTag{TaskId(rng() % 16), 1},
-                                 std::uint8_t(rng()), task};
+                                 VersionTag{TaskId(rng() % 16), 1}};
             log.append(task, e);
             model[task].push_back(e);
             ++appends;
@@ -330,8 +228,6 @@ TEST(UndoLog, RandomChurnRecoversInReverseOrder)
             for (std::size_t k = 0; k < want.size(); ++k) {
                 ASSERT_EQ(scratch[k].line, want[k].line) << "op " << i;
                 ASSERT_EQ(scratch[k].oldVersion, want[k].oldVersion);
-                ASSERT_EQ(scratch[k].oldMask, want[k].oldMask);
-                ASSERT_EQ(scratch[k].overwriting, task);
             }
         } else { // commit: the group is freed
             log.dropTask(task);

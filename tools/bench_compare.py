@@ -19,7 +19,10 @@ end-to-end metric's HEAD median is worse than BASE's median by more
 than the metric's bound. For each metric it also prints HEAD's wins out
 of N pairs (ties count for neither side) and BASE's interquartile range
 relative to its median: the two halves of the rule for claiming a gain,
-reported here but not gated.
+reported here but not gated. A metric whose BASE IQR exceeds its bound
+is marked UNRESOLVED: BASE alone spreads wider than the bound, so its
+verdict on these pairs says little either way (rerun with more pairs).
+The mark does not change the exit status.
 
 A typical pull-request check, from the head checkout:
 
@@ -124,8 +127,10 @@ def main() -> int:
                    for bv, hv in zip(base, head))
         spread = iqr(base) / b if b else 0.0
         flag = ""
+        if spread > m["bound"]:
+            flag += "  UNRESOLVED"
         if worse > m["bound"]:
-            flag = "  << REGRESSION"
+            flag += "  << REGRESSION"
             failures.append(f"{name}: head median {h:.6g} is "
                             f"{worse:.1%} worse than base {b:.6g} "
                             f"(bound {m['bound']:.0%})")
