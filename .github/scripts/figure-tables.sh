@@ -9,8 +9,9 @@
 # MTID-reject parking on mesh64), and requires each to be
 # byte-identical to its committed golden, so a change that claims
 # identical output is checked on every PR. The nightly tier
-# regenerates the figures at full fidelity and diffs rankings against
-# goldens/ (golden-gate.sh).
+# regenerates fig9, fig9 --validate, fig10 and fig11 through the warm
+# result store and cmps them against the same goldens
+# (nightly-figures.sh).
 set -euo pipefail
 GOLDEN_DIR="$(pwd)/goldens"
 BUILD_DIR="${BUILD_DIR:-build}"

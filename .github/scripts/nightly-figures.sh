@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Nightly full-fidelity figures through the warm result store: each
 # figure runs cold (populating nightly-cache) and then warm; the warm
-# table must be byte-identical, and the warm fig9 pass must be served
+# table must be byte-identical, and the warm pass must be served
 # entirely from the store (100% hits). fig9 also runs its
-# Predict+Validate variant (--validate) so the nightly golden gate
-# guards the +VP rankings too.
+# Predict+Validate variant (--validate). Every cold table must then
+# match its committed golden byte for byte, the same gate the PR tier
+# applies (figure-tables.sh).
 set -euo pipefail
+GOLDEN_DIR="$(pwd)/goldens"
 BUILD_DIR="${BUILD_DIR:-build}"
 cd "$BUILD_DIR"
 mkdir -p figure-tables
@@ -28,3 +30,6 @@ run_fig fig9 ./bench/bench_fig9_numa --threads="$(nproc)"
 run_fig fig9_validate ./bench/bench_fig9_numa --threads="$(nproc)" --validate
 run_fig fig10 ./bench/bench_fig10_amm_fmm --threads="$(nproc)"
 run_fig fig11 ./bench/bench_fig11_cmp --threads="$(nproc)"
+for fig in fig9 fig9_validate fig10 fig11; do
+  cmp "$GOLDEN_DIR/${fig}.txt" "figure-tables/${fig}.txt"
+done

@@ -122,10 +122,9 @@ parseFaults(int argc, char **argv)
 
 /**
  * RAII task-lifetime trace session for a figure driver
- * (docs/TRACING.md). Flags / environment:
+ * (docs/TRACING.md). Flags:
  *
  *   --trace=FILE / --trace FILE   write the binary trace to FILE
- *   TLSIM_TRACE=FILE              same, via the environment
  *   --trace-json=FILE             also write Perfetto trace_event JSON
  *   --trace-mask=SPEC             categories to record (task, version,
  *                                 undo, noc, core, audit, all)
@@ -141,29 +140,20 @@ class TraceSession
     TraceSession(int argc, char **argv, std::uint32_t default_mask,
                  std::size_t ring_capacity)
     {
-        const char *bin = std::getenv("TLSIM_TRACE");
         const char *mask_spec = nullptr;
         for (int i = 1; i < argc; ++i) {
             const char *arg = argv[i];
             if (std::strcmp(arg, "--trace") == 0 && i + 1 < argc)
-                bin = argv[++i];
+                binPath_ = argv[++i];
             else if (std::strncmp(arg, "--trace=", 8) == 0)
-                bin = arg + 8;
+                binPath_ = arg + 8;
             else if (std::strncmp(arg, "--trace-json=", 13) == 0)
                 jsonPath_ = arg + 13;
             else if (std::strncmp(arg, "--trace-mask=", 13) == 0)
                 mask_spec = arg + 13;
         }
-        if (bin != nullptr && *bin != '\0')
-            binPath_ = bin;
         if (binPath_.empty() && jsonPath_.empty())
             return;
-        if (!trace::builtIn()) {
-            std::fprintf(stderr,
-                         "trace: requested but this build has "
-                         "TLSIM_TRACE=OFF; ignoring\n");
-            return;
-        }
         trace::Options opts;
         opts.mask = mask_spec != nullptr
                         ? trace::parseMask(mask_spec, default_mask)

@@ -185,18 +185,10 @@ main(int argc, char **argv)
     // One in-memory trace session spans the whole soak; each sweep's
     // points get distinct streams (app, machine, sweep ordinal), so a
     // single end-of-run audit covers every round, faulted and clean.
-    const bool tracing = trace::builtIn();
-    const std::size_t ring_capacity =
-        std::size_t(1) << (short_mode ? 21 : 23);
-    if (tracing) {
-        trace::Options opts;
-        opts.mask = trace::kMaskAudit;
-        opts.ringCapacity = ring_capacity;
-        trace::start(opts);
-    } else {
-        std::fprintf(stderr, "soak: built with TLSIM_TRACE=OFF — "
-                             "running without the trace audit oracle\n");
-    }
+    trace::Options trace_opts;
+    trace_opts.mask = trace::kMaskAudit;
+    trace_opts.ringCapacity = std::size_t(1) << (short_mode ? 21 : 23);
+    trace::start(trace_opts);
 
     std::printf("Fault-injection soak: %u rounds x %zu apps x %zu "
                 "schemes (seed 0x%llx%s)\n\n",
@@ -384,23 +376,18 @@ main(int argc, char **argv)
     // flags wrap-around truncation as an issue. The in-order phases'
     // trace is drained here and audited at the end alongside the OoO
     // one.
-    trace::TraceFile inorder_file;
-    if (tracing) {
-        trace::stop();
-        inorder_file = trace::drainFile();
-        trace::reset();
-        trace::Options opts;
-        // The value category rides along so the predict+validate
-        // phase below is covered by audit invariant 8 (every
-        // predicted read validated or squashed).
-        opts.mask = trace::kMaskAudit | trace::kMaskCore |
-                    trace::kMaskValue;
-        // ~2 core records per memory op on top of the audit kinds:
-        // the phase needs roughly twice the ring of an audit-only
-        // round set.
-        opts.ringCapacity = std::size_t(1) << (short_mode ? 22 : 23);
-        trace::start(opts);
-    }
+    trace::stop();
+    trace::TraceFile inorder_file = trace::drainFile();
+    trace::reset();
+    // The value category rides along so the predict+validate phase
+    // below is covered by audit invariant 8 (every predicted read
+    // validated or squashed).
+    trace_opts.mask =
+        trace::kMaskAudit | trace::kMaskCore | trace::kMaskValue;
+    // ~2 core records per memory op on top of the audit kinds: the
+    // phase needs roughly twice the ring of an audit-only round set.
+    trace_opts.ringCapacity = std::size_t(1) << (short_mode ? 22 : 23);
+    trace::start(trace_opts);
 
     // Out-of-order core phase: the squashy/hungry apps again, now
     // under the bounded-window OoO model (docs/OOO_CORE.md), faulted
@@ -608,35 +595,33 @@ main(int argc, char **argv)
                        vp_predictions > 0;
 
     std::size_t audit_issues = 0;
-    if (tracing) {
-        trace::stop();
-        trace::TraceFile ooo_file = trace::drainFile();
-        trace::reset();
-        auto audit_one = [&](const char *label,
-                             const trace::TraceFile &file,
-                             const std::string &path) {
-            trace::AuditReport report = trace::audit(file);
-            audit_issues += report.issues.size();
-            std::printf("\nTrace audit (%s): %zu records, %zu "
-                        "streams, %zu checks, %zu issues\n",
-                        label, report.records, report.streams,
-                        report.checks, report.issues.size());
-            if (!report.ok())
-                std::fputs(report.summary().c_str(), stderr);
-            if (!path.empty()) {
-                std::string err;
-                if (trace::writeBinary(path, file, &err))
-                    std::fprintf(stderr, "soak: trace -> %s\n",
-                                 path.c_str());
-                else
-                    std::fprintf(stderr, "soak: %s\n", err.c_str());
-            }
-        };
-        audit_one("in-order phases", inorder_file, trace_path);
-        audit_one("ooo phase", ooo_file,
-                  trace_path.empty() ? std::string()
-                                     : trace_path + ".ooo");
-    }
+    trace::stop();
+    trace::TraceFile ooo_file = trace::drainFile();
+    trace::reset();
+    auto audit_one = [&](const char *label,
+                         const trace::TraceFile &file,
+                         const std::string &path) {
+        trace::AuditReport report = trace::audit(file);
+        audit_issues += report.issues.size();
+        std::printf("\nTrace audit (%s): %zu records, %zu "
+                    "streams, %zu checks, %zu issues\n",
+                    label, report.records, report.streams,
+                    report.checks, report.issues.size());
+        if (!report.ok())
+            std::fputs(report.summary().c_str(), stderr);
+        if (!path.empty()) {
+            std::string err;
+            if (trace::writeBinary(path, file, &err))
+                std::fprintf(stderr, "soak: trace -> %s\n",
+                             path.c_str());
+            else
+                std::fprintf(stderr, "soak: %s\n", err.c_str());
+        }
+    };
+    audit_one("in-order phases", inorder_file, trace_path);
+    audit_one("ooo phase", ooo_file,
+              trace_path.empty() ? std::string()
+                                 : trace_path + ".ooo");
 
     std::printf("\nSoak summary: %u points, %u completion failures, "
                 "%u state mismatches, %llu injected faults, "

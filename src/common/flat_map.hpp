@@ -15,9 +15,7 @@
  *  - tombstone-free deletion (backward shift), so lookup cost never
  *    degrades with erase-heavy workloads like squash cleanup;
  *  - steady-state insert/erase/find touch no allocator; growth only
- *    doubles the arrays, and freezeCapacity() turns any further growth
- *    into a hard panic — the enforcement hook for the hot path's
- *    no-allocation contract.
+ *    doubles the arrays.
  *
  * Invalidation contract (differs from std::unordered_map!): any insert
  * or erase may move *other* entries; pointers returned by find() are
@@ -36,8 +34,6 @@
 #include <new>
 #include <type_traits>
 #include <utility>
-
-#include "common/log.hpp"
 
 namespace tlsim {
 
@@ -118,13 +114,6 @@ class FlatMap
     std::size_t capacity() const noexcept { return cap_; }
     /** Times the table grew (allocation events; steady state: 0). */
     std::uint64_t growths() const noexcept { return growths_; }
-
-    /**
-     * Forbid (true) or re-allow (false) growth. While frozen, an
-     * insert that would need to grow panics instead — the assert
-     * behind the steady-state no-allocation contract.
-     */
-    void freezeCapacity(bool frozen) noexcept { frozen_ = frozen; }
 
     /** Value for @p key, or nullptr. Invalidated by insert/erase. */
     V *
@@ -255,7 +244,7 @@ class FlatMap
         return erased;
     }
 
-    /** Drop every entry; capacity (and the no-alloc state) is kept. */
+    /** Drop every entry; capacity is kept, so refilling allocates nothing. */
     void
     clear() noexcept
     {
@@ -380,9 +369,6 @@ class FlatMap
     void
     grow()
     {
-        if (frozen_)
-            panic("FlatMap: growth while capacity is frozen "
-                  "(steady-state no-allocation contract violated)");
         std::size_t new_cap = cap_ ? cap_ * 2 : kInitialCap;
         std::uint8_t *old_dist = dist_;
         K *old_keys = keys_;
@@ -437,7 +423,6 @@ class FlatMap
     {
         reserve(other.size_);
         other.forEach([this](const K &k, const V &v) { emplace(k, v); });
-        frozen_ = other.frozen_;
     }
 
     void
@@ -450,7 +435,6 @@ class FlatMap
         mask_ = other.mask_;
         size_ = other.size_;
         growths_ = other.growths_;
-        frozen_ = other.frozen_;
         other.dist_ = nullptr;
         other.keys_ = nullptr;
         other.vals_ = nullptr;
@@ -458,7 +442,6 @@ class FlatMap
         other.mask_ = 0;
         other.size_ = 0;
         other.growths_ = 0;
-        other.frozen_ = false;
     }
 
     std::uint8_t *dist_ = nullptr; // 0 = empty, else probe distance + 1
@@ -468,7 +451,6 @@ class FlatMap
     std::size_t mask_ = 0;
     std::size_t size_ = 0;
     std::uint64_t growths_ = 0;
-    bool frozen_ = false;
 };
 
 /**
@@ -492,10 +474,6 @@ class FlatSet
 
     void clear() noexcept { map_.clear(); }
     void reserve(std::size_t n) { map_.reserve(n); }
-    void freezeCapacity(bool frozen) noexcept
-    {
-        map_.freezeCapacity(frozen);
-    }
 
     template <typename Fn>
     void

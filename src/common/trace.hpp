@@ -11,10 +11,9 @@
  * against its record table).
  *
  * Cost model:
- *  - Instrumentation points use the TLSIM_TRACE_EVENT macros, which
- *    compile to nothing when the TLSIM_TRACE CMake option is OFF.
- *  - When built in but not enabled at runtime, an instrumentation
- *    point costs one relaxed atomic load and one predictable branch.
+ *  - Instrumentation points use the TLSIM_TRACE_EVENT macros. While no
+ *    session is recording, each costs one relaxed atomic load and one
+ *    predictable branch.
  *  - When enabled, each record is one 32-byte store into a per-thread
  *    ring buffer; no locks, no allocation after the ring warms up.
  *
@@ -34,10 +33,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-
-#ifndef TLSIM_TRACE_ENABLED
-#define TLSIM_TRACE_ENABLED 0
-#endif
 
 namespace tlsim::trace {
 
@@ -241,13 +236,6 @@ static_assert(sizeof(Record) == 32, "Record is part of the binary "
 // Runtime tracer
 // --------------------------------------------------------------------
 
-/** True when the tracing layer is compiled in (TLSIM_TRACE=ON). */
-constexpr bool
-builtIn()
-{
-    return TLSIM_TRACE_ENABLED != 0;
-}
-
 namespace detail {
 extern std::atomic<bool> g_on;
 } // namespace detail
@@ -419,11 +407,9 @@ AuditReport audit(const TraceFile &file);
 } // namespace tlsim::trace
 
 /**
- * Instrumentation macros: compiled out entirely when the TLSIM_TRACE
- * CMake option is OFF (arguments are not evaluated), one branch when
- * built in but not recording.
+ * Instrumentation macros: one branch while not recording (arguments
+ * are only evaluated when a session is on).
  */
-#if TLSIM_TRACE_ENABLED
 #define TLSIM_TRACE_EVENT(kind, proc, task, addr, arg)                 \
     do {                                                               \
         if (::tlsim::trace::enabled())                                 \
@@ -436,10 +422,5 @@ AuditReport audit(const TraceFile &file);
             ::tlsim::trace::emitAt((cycle), (kind), (proc), (task),    \
                                    (addr), (arg));                     \
     } while (0)
-#else
-#define TLSIM_TRACE_EVENT(kind, proc, task, addr, arg) do { } while (0)
-#define TLSIM_TRACE_EVENT_AT(cycle, kind, proc, task, addr, arg)       \
-    do { } while (0)
-#endif
 
 #endif // TLSIM_COMMON_TRACE_HPP

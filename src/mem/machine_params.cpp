@@ -133,13 +133,6 @@ MachineParams::mesh(unsigned nodes)
 
     // Commit token handoffs also cross a bigger machine.
     p.tokenPassCycles = Cycle(std::lround(10.0 * ratio));
-
-    // Frozen speculative-structure capacities (see header). Sized for
-    // the sweep/soak workloads with ~4x headroom; deliberately finite
-    // so that a workload outgrowing the hardware fails loudly.
-    p.mtidCapacityLines = std::size_t(4096) * nodes;
-    p.overflowCapacityPerProc = 4096;
-    p.undoTasksPerProc = 1024;
     return p;
 }
 
@@ -161,10 +154,6 @@ MachineParams::cmp32()
     p.dirClusterNodes = 8;
     p.latDirCluster = 10;
     p.commitFixedCycles = 300;
-
-    p.mtidCapacityLines = std::size_t(4096) * 32;
-    p.overflowCapacityPerProc = 4096;
-    p.undoTasksPerProc = 1024;
     return p;
 }
 

@@ -7,7 +7,6 @@
 #ifndef TLSIM_MEM_MACHINE_PARAMS_HPP
 #define TLSIM_MEM_MACHINE_PARAMS_HPP
 
-#include <cstddef>
 #include <string>
 
 #include "common/types.hpp"
@@ -77,20 +76,6 @@ struct MachineParams {
     ///@{
     unsigned dirClusterNodes = 0;
     Cycle latDirCluster = 0;
-    ///@}
-
-    /** @name Speculative-structure capacities (no-alloc contracts)
-     *
-     * Scaled machines size the MTID table, per-processor overflow
-     * areas and per-processor undo-log task directories up front and
-     * freeze them (FlatMap::freezeCapacity): running past a capacity
-     * is a loud panic, not a silent reallocation — the same
-     * enforcement the PR 3 hot path uses. 0 = grow on demand (the
-     * paper's small machines, where sizing is uninteresting). */
-    ///@{
-    std::size_t mtidCapacityLines = 0;
-    std::size_t overflowCapacityPerProc = 0;
-    std::size_t undoTasksPerProc = 0;
     ///@}
 
     /** Page size used for NUMA home assignment (round-robin). */
@@ -167,9 +152,10 @@ struct MachineParams {
     /**
      * Scaled CC-NUMA mesh beyond the paper: @p nodes in {64, 128, 256}
      * (name "mesh64"...). Remote latencies grow with the mean Manhattan
-     * distance of the larger mesh (first-order wire/hop-delay scaling),
-     * directories go hierarchical, and the speculative structures get
-     * frozen capacities sized for the node count.
+     * distance of the larger mesh (first-order wire/hop-delay scaling)
+     * and directories go hierarchical. The speculative structures (MTID
+     * table, overflow areas, undo logs) grow on demand, as on the
+     * paper's machines.
      */
     static MachineParams mesh(unsigned nodes);
 

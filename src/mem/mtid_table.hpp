@@ -83,22 +83,6 @@ class MtidTable
     std::uint64_t rejects() const { return rejects_; }
     std::size_t taggedLines() const { return tags_.size(); }
 
-    /**
-     * Size the tag store for @p lines entries and freeze it: the MTID
-     * table is a fixed hardware structure on the scaled machines, so
-     * outgrowing it must panic (no-alloc contract), never silently
-     * reallocate. 0 keeps the grow-on-demand behavior.
-     */
-    void
-    reserveCapacity(std::size_t lines)
-    {
-        tags_.freezeCapacity(false);
-        if (lines > 0) {
-            tags_.reserve(lines);
-            tags_.freezeCapacity(true);
-        }
-    }
-
     void
     clear()
     {

@@ -100,23 +100,6 @@ class UndoLog
     /** Fault-injected stress cycles of the last takeForRecovery. */
     Cycle lastRecoveryStress() const { return last_stress_; }
 
-    /**
-     * Size the task directory for @p tasks concurrently-logged tasks
-     * and freeze it (the MHB of a scaled machine tracks a bounded
-     * in-flight window; exceeding it panics). The slab pool itself
-     * still recycles slots — only the directory is a frozen hardware
-     * structure. 0 = grow on demand.
-     */
-    void
-    reserveTasks(std::size_t tasks)
-    {
-        slotOf_.freezeCapacity(false);
-        if (tasks > 0) {
-            slotOf_.reserve(tasks);
-            slotOf_.freezeCapacity(true);
-        }
-    }
-
     void clear();
 
   private:

@@ -97,7 +97,7 @@ namespace {
 /** Key-schema version: bump when fields are added to or removed from
  *  the derivations below (the code-version hash would catch it anyway,
  *  since such a change edits this file — this is belt and braces). */
-constexpr std::uint64_t kKeySchemaVersion = 2;
+constexpr std::uint64_t kKeySchemaVersion = 3;
 
 void
 foldPreamble(KeyHasher &h, bool sequential)
@@ -142,9 +142,6 @@ foldMachine(KeyHasher &h, const mem::MachineParams &m)
     h.u64(m.numBanks);
     h.u64(m.dirClusterNodes);
     h.u64(m.latDirCluster);
-    h.u64(m.mtidCapacityLines);
-    h.u64(m.overflowCapacityPerProc);
-    h.u64(m.undoTasksPerProc);
     h.u64(m.pageBytes);
     h.f64(m.ipc);
     h.u64(m.loadHide);

@@ -269,18 +269,18 @@ runSynthSequential(const apps::SynthSpec &spec,
         });
 }
 
+/** MTID-table lines costed per node. The table grows on demand in the
+ *  simulator; the cost model charges every machine the same per-node
+ *  share so cost columns stay comparable across topologies. */
+constexpr std::size_t kMtidLinesPerNode = 4096;
+
 tls::BufferSizing
 bufferSizingOf(const mem::MachineParams &machine)
 {
     tls::BufferSizing sz;
     sz.numProcs = machine.numProcs;
     sz.l2LinesPerProc = machine.l2.sizeBytes / mem::kLineBytes;
-    // Grow-on-demand machines (the paper's) are costed as if their
-    // structures were sized like a scaled machine's per-node share, so
-    // cost columns stay comparable across topologies.
-    sz.mtidLines = machine.mtidCapacityLines
-                       ? machine.mtidCapacityLines
-                       : std::size_t(4096) * machine.numProcs;
+    sz.mtidLines = kMtidLinesPerNode * machine.numProcs;
     // Tag width: enough for the deepest in-flight window plus slack.
     sz.taskIdBits = machine.numProcs >= 64 ? 16 : 12;
     return sz;

@@ -41,16 +41,14 @@ meshRows(unsigned n)
 void
 bindTraceContext(const EngineConfig &cfg, const EventQueue &eq)
 {
-    if constexpr (trace::builtIn()) {
-        trace::bindClock(eq.nowPtr());
-        trace::setScheme(
-            cfg.sequential
-                ? trace::kSchemeSequential
-                : trace::packScheme(unsigned(cfg.scheme.separation),
-                                    unsigned(cfg.scheme.merging),
-                                    cfg.scheme.softwareLog,
-                                    cfg.scheme.predictsValues()));
-    }
+    trace::bindClock(eq.nowPtr());
+    trace::setScheme(
+        cfg.sequential
+            ? trace::kSchemeSequential
+            : trace::packScheme(unsigned(cfg.scheme.separation),
+                                unsigned(cfg.scheme.merging),
+                                cfg.scheme.softwareLog,
+                                cfg.scheme.predictsValues()));
 }
 
 } // namespace
@@ -134,16 +132,6 @@ SpeculationEngine::SpeculationEngine(const EngineConfig &cfg,
     }
     logs_.resize(m.numProcs);
 
-    // Scaled machines declare frozen structure capacities: size the
-    // tables once here, then any growth past them panics instead of
-    // silently reallocating (the sequential baseline models none of
-    // the speculative hardware and keeps grow-on-demand).
-    if (!cfg_.sequential) {
-        mtid_.reserveCapacity(m.mtidCapacityLines);
-        for (auto &log : logs_)
-            log.reserveTasks(m.undoTasksPerProc);
-    }
-
     // Fault injection: the plan is engine-local (one RNG set per run,
     // never shared across sweep threads) and each component is only
     // attached when its site can actually fire, so an inert spec adds
@@ -226,8 +214,7 @@ SpeculationEngine::~SpeculationEngine()
 {
     // The thread's trace clock points into our event queue; detach it
     // before the queue dies.
-    if constexpr (trace::builtIn())
-        trace::bindClock(nullptr);
+    trace::bindClock(nullptr);
 }
 
 void

@@ -128,6 +128,8 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
     std::vector<std::unique_ptr<mem::VersionedCache>> l1_;
     std::vector<std::unique_ptr<mem::VersionedCache>> l2_;
     std::unique_ptr<mem::VersionedCache> l3_; // CMP shared
+    /** Per-processor MHB undo logs. They, the MTID table and the
+     *  overflow areas (spilled versions in versions_) grow on demand. */
     std::vector<mem::UndoLog> logs_;
     /**
      * Predict+Validate state (empty/idle under validation=None): one
@@ -315,11 +317,6 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
      * there.
      */
     void saveDisplacedHolder(Addr line, VersionInfo *old, ProcId proc);
-    /**
-     * Spill @p v into its owner's overflow area; growth past the
-     * machine's frozen overflowCapacityPerProc is a panic.
-     */
-    void spillToOverflow(Addr line, VersionInfo &v);
     /** Fault injection: @p proc's overflow area counts as saturated. */
     bool overflowPressured(ProcId proc) const;
 

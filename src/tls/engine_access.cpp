@@ -266,7 +266,7 @@ SpeculationEngine::handleL2Eviction(ProcId proc,
         return; // squashed concurrently
 
     if (cfg_.scheme.isAmm()) {
-        spillToOverflow(line, *v);
+        versions_.spill(line, *v);
         memBanks_.access(proc % cfg_.machine.numBanks, now);
         counters_.inc(sid_.overflowSpills);
     } else {
@@ -283,7 +283,7 @@ SpeculationEngine::handleL2Eviction(ProcId proc,
             // vanish while its task is alive. Park it in the owner's
             // spill region (see DESIGN.md).
             mtid_.writeBack(line, victim.version); // counts reject
-            spillToOverflow(line, *v);
+            versions_.spill(line, *v);
             counters_.inc(sid_.mtidRejectedSpills);
         }
     }
@@ -302,18 +302,6 @@ SpeculationEngine::faultSpillVersion(ProcId proc, Addr line,
     // The controller finishes the spill before the store retires,
     // same foreground cost as a displacement-triggered spill.
     return cfg_.machine.overflowCheckCycles;
-}
-
-void
-SpeculationEngine::spillToOverflow(Addr line, VersionInfo &v)
-{
-    versions_.spill(line, v);
-    std::size_t cap = cfg_.machine.overflowCapacityPerProc;
-    if (cap != 0 && versions_.spilledBy(v.cacheOwner) > cap)
-        panic("spillToOverflow: processor " +
-              std::to_string(v.cacheOwner) +
-              "'s overflow area outgrew its frozen capacity of " +
-              std::to_string(cap) + " versions");
 }
 
 bool

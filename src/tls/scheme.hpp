@@ -157,7 +157,7 @@ struct BufferSizing {
     unsigned numProcs = 16;
     /** L2 lines per processor (CTID/CRL tag overhead scales with it). */
     std::size_t l2LinesPerProc = 8192;
-    /** MTID table capacity in lines (machine-wide). */
+    /** MTID table lines the cost model charges (machine-wide). */
     std::size_t mtidLines = 0;
     /** ULOG write-buffer entries per processor (the log itself lives
      *  in main memory; only the buffer is dedicated hardware). */

@@ -250,11 +250,9 @@ TEST(FaultStudy, InjectedSquashesPreserveStateAndPassAudit)
     };
     std::vector<apps::AppParams> apps = {tinyApp()};
 
-    if (trace::builtIn()) {
-        trace::Options opts;
-        opts.mask = trace::kMaskAudit;
-        trace::start(opts);
-    }
+    trace::Options opts;
+    opts.mask = trace::kMaskAudit;
+    trace::start(opts);
 
     std::vector<sim::AppStudy> faulted = sim::runStudySweep(
         apps, schemes, mem::MachineParams::numa16(), 1, 1, spec);
@@ -273,12 +271,10 @@ TEST(FaultStudy, InjectedSquashesPreserveStateAndPassAudit)
         EXPECT_EQ(f.memStateLines, c.memStateLines);
     }
 
-    if (trace::builtIn()) {
-        trace::stop();
-        trace::TraceFile file = trace::drainFile();
-        trace::reset();
-        trace::AuditReport report = trace::audit(file);
-        EXPECT_GT(report.records, 0u);
-        EXPECT_TRUE(report.ok()) << report.summary();
-    }
+    trace::stop();
+    trace::TraceFile file = trace::drainFile();
+    trace::reset();
+    trace::AuditReport report = trace::audit(file);
+    EXPECT_GT(report.records, 0u);
+    EXPECT_TRUE(report.ok()) << report.summary();
 }

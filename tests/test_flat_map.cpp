@@ -1,8 +1,7 @@
 /**
  * @file
  * Property tests for the open-addressing FlatMap / FlatSet against the
- * standard node-based containers as the reference model, plus the
- * frozen-capacity (no-allocation contract) death test.
+ * standard node-based containers as the reference model.
  */
 
 #include <gtest/gtest.h>
@@ -221,33 +220,4 @@ TEST(FlatSet, RandomChurnMatchesUnorderedSet)
         ++visited;
     });
     EXPECT_EQ(visited, ref.size());
-}
-
-TEST(FlatMap, FrozenCapacityHoldsReservedEntriesWithoutGrowth)
-{
-    // The positive side of the no-alloc contract: after reserve(n),
-    // n entries fit with capacity frozen.
-    FlatMap<std::uint64_t, std::uint64_t> map;
-    map.reserve(100);
-    std::size_t cap = map.capacity();
-    map.freezeCapacity(true);
-    for (std::uint64_t i = 0; i < 100; ++i)
-        map.emplace(i, i);
-    EXPECT_EQ(map.size(), 100u);
-    EXPECT_EQ(map.capacity(), cap);
-}
-
-TEST(FlatMapDeathTest, GrowthWhileFrozenPanics)
-{
-    // The enforcement side: a steady-state structure that would have
-    // to grow is a bug, not a slow path.
-    FlatMap<std::uint64_t, std::uint64_t> map;
-    map.reserve(16);
-    map.freezeCapacity(true);
-    EXPECT_DEATH(
-        {
-            for (std::uint64_t i = 0; i < 10000; ++i)
-                map.emplace(i, i);
-        },
-        "frozen");
 }

@@ -227,8 +227,6 @@ traceTinyStudy(unsigned threads,
 
 TEST(TraceParallelStudy, TraceIsIdenticalAtAnyThreadCount)
 {
-    if (!trace::builtIn())
-        GTEST_SKIP() << "built with TLSIM_TRACE=OFF";
     for (mem::CoreModelKind core :
          {mem::CoreModelKind::InOrder, mem::CoreModelKind::OutOfOrder}) {
         const char *name = mem::coreModelName(core);
@@ -259,8 +257,6 @@ TEST(TraceParallelStudy, TraceIsIdenticalAtAnyThreadCount)
 
 TEST_F(TraceTest, AuditPassesOnRealRuns)
 {
-    if (!trace::builtIn())
-        GTEST_SKIP() << "built with TLSIM_TRACE=OFF";
     trace::TraceFile file = traceTinyStudy(2);
     ASSERT_GT(file.records.size(), 0u);
     trace::AuditReport report = trace::audit(file);
@@ -377,8 +373,6 @@ TEST_F(TraceTest, AuditCatchesValidationOfUnpredictedWord)
 
 TEST_F(TraceTest, AuditCatchesCorruptionInRealTrace)
 {
-    if (!trace::builtIn())
-        GTEST_SKIP() << "built with TLSIM_TRACE=OFF";
     trace::TraceFile file = traceTinyStudy(2);
     auto it = std::find_if(
         file.records.begin(), file.records.end(), [](const auto &r) {
@@ -397,8 +391,6 @@ TEST_F(TraceTest, AuditCatchesCorruptionInRealTrace)
 
 TEST_F(TraceTest, LazyFinalMergeSweepsInCanonicalOrder)
 {
-    if (!trace::builtIn())
-        GTEST_SKIP() << "built with TLSIM_TRACE=OFF";
     // Store-only tasks over a shared pool of lines, each in scrambled
     // order. Without reads there are no squashes and no VCL merges, so
     // every VersionMerge record comes from an invocation barrier's
