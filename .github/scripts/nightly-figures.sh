@@ -11,6 +11,10 @@ GOLDEN_DIR="$(pwd)/goldens"
 BUILD_DIR="${BUILD_DIR:-build}"
 cd "$BUILD_DIR"
 mkdir -p figure-tables
+# Start cold: a store kept from an earlier run would serve the cold
+# pass, and the stats files are appended to, one line per pass.
+rm -rf nightly-cache
+rm -f nightly_*_stats.jsonl
 run_fig() { # name, command...
   local name="$1"; shift
   "$@" --cache-dir=nightly-cache \

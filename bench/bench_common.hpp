@@ -204,12 +204,9 @@ class TraceSession
 
 /**
  * RAII result-cache session for a figure driver (DESIGN.md §10).
- * Flags / environment:
+ * Flags:
  *
  *   --cache-dir=DIR / --cache-dir DIR   content-addressed store at DIR
- *   --cache                             same, at the default
- *                                       .tlsim-cache (gitignored)
- *   TLSIM_CACHE=DIR                     same, via the environment
  *   --cache-verify=P                    recompute fraction P of hits
  *                                       and hard-fail on any byte
  *                                       difference vs the store
@@ -227,14 +224,11 @@ class CacheSession
   public:
     CacheSession(int argc, char **argv)
     {
-        const char *dir = std::getenv("TLSIM_CACHE");
+        const char *dir = nullptr;
         const char *verify = nullptr;
         for (int i = 1; i < argc; ++i) {
             const char *arg = argv[i];
-            if (std::strcmp(arg, "--cache") == 0)
-                dir = ".tlsim-cache";
-            else if (std::strcmp(arg, "--cache-dir") == 0 &&
-                     i + 1 < argc)
+            if (std::strcmp(arg, "--cache-dir") == 0 && i + 1 < argc)
                 dir = argv[++i];
             else if (std::strncmp(arg, "--cache-dir=", 12) == 0)
                 dir = arg + 12;

@@ -101,26 +101,94 @@ drawSchedule(Rng &rng)
     return spec;
 }
 
+void
+addFaults(fault::FaultCounters &into, const fault::FaultCounters &c)
+{
+    into.nocDelays += c.nocDelays;
+    into.nocStalls += c.nocStalls;
+    into.nocRetries += c.nocRetries;
+    into.forcedSpills += c.forcedSpills;
+    into.overflowPressure += c.overflowPressure;
+    into.undoStressEvents += c.undoStressEvents;
+    into.undoStressCycles += c.undoStressCycles;
+    into.spuriousSquashes += c.spuriousSquashes;
+    into.commitSquashes += c.commitSquashes;
+}
+
+/** Oracle outcomes of one table row (a round or a phase). */
+struct SoakPhase {
+    unsigned points = 0;
+    bool stateOk = true;
+    fault::FaultCounters injected;
+};
+
 struct SoakTally {
     unsigned points = 0;
     unsigned completionFailures = 0;
     unsigned stateMismatches = 0;
     fault::FaultCounters injected;
 
+    /**
+     * Apply the oracles to one point: the faulted run @p f and the
+     * clean run @p c both commit all @p tasks tasks, f's memory image
+     * equals c's and, when the phase has one, c's equals the
+     * reference run @p ref's (the in-order core, or no prediction),
+     * compared as @p ref_what. @p label names the point and @p repro
+     * reproduces it in failure messages. f's injected faults fold
+     * into the tally and @p phase.
+     */
     void
-    fold(const fault::FaultCounters &c)
+    check(SoakPhase &phase, const std::string &label,
+          const std::string &repro, unsigned tasks,
+          const tls::RunResult &f, const tls::RunResult &c,
+          const tls::RunResult *ref = nullptr,
+          const char *ref_what = "")
     {
-        injected.nocDelays += c.nocDelays;
-        injected.nocStalls += c.nocStalls;
-        injected.nocRetries += c.nocRetries;
-        injected.forcedSpills += c.forcedSpills;
-        injected.overflowPressure += c.overflowPressure;
-        injected.undoStressEvents += c.undoStressEvents;
-        injected.undoStressCycles += c.undoStressCycles;
-        injected.spuriousSquashes += c.spuriousSquashes;
-        injected.commitSquashes += c.commitSquashes;
+        ++points;
+        ++phase.points;
+        if (f.committedTasks != tasks || c.committedTasks != tasks) {
+            ++completionFailures;
+            std::fprintf(stderr, "soak: %s committed %llu/%u tasks\n",
+                         label.c_str(),
+                         (unsigned long long)f.committedTasks, tasks);
+        }
+        auto same_image = [&](const tls::RunResult &a,
+                              const tls::RunResult &b,
+                              const char *what) {
+            if (a.memStateHash == b.memStateHash &&
+                a.memStateLines == b.memStateLines)
+                return;
+            ++stateMismatches;
+            phase.stateOk = false;
+            std::fprintf(stderr,
+                         "soak: %s %s memory-state divergence "
+                         "(%016llx/%llu lines vs %016llx/%llu)\n"
+                         "  %s\n",
+                         label.c_str(), what,
+                         (unsigned long long)a.memStateHash,
+                         (unsigned long long)a.memStateLines,
+                         (unsigned long long)b.memStateHash,
+                         (unsigned long long)b.memStateLines,
+                         repro.c_str());
+        };
+        same_image(f, c, "faulted-vs-clean");
+        if (ref != nullptr)
+            same_image(c, *ref, ref_what);
+        addFaults(injected, f.faults);
+        addFaults(phase.injected, f.faults);
     }
 };
+
+/** The injected-fault cell of a phase that reports squashes only. */
+std::string
+squashCell(const SoakPhase &phase)
+{
+    char cell[96];
+    std::snprintf(cell, sizeof(cell), "sq %llu+%llu",
+                  (unsigned long long)phase.injected.spuriousSquashes,
+                  (unsigned long long)phase.injected.commitSquashes);
+    return cell;
+}
 
 bool
 parseFlag(int argc, char **argv, const char *name)
@@ -224,72 +292,36 @@ main(int argc, char **argv)
         std::vector<sim::AppStudy> clean = sim::runStudySweep(
             round_apps, schemes, machine, 1, threads, {});
 
-        unsigned round_points = 0;
-        fault::FaultCounters round_injected;
-        bool round_state_ok = true;
+        SoakPhase row;
         for (std::size_t a = 0; a < round_apps.size(); ++a) {
             for (std::size_t s = 0; s < schemes.size(); ++s) {
-                const tls::RunResult &f = faulted[a].outcomes[s].result;
-                const tls::RunResult &c = clean[a].outcomes[s].result;
-                ++tally.points;
-                ++round_points;
-                if (f.committedTasks != round_apps[a].numTasks ||
-                    c.committedTasks != round_apps[a].numTasks) {
-                    ++tally.completionFailures;
-                    std::fprintf(stderr,
-                                 "soak: round %u %s/%s committed "
-                                 "%llu/%u tasks\n",
-                                 round, round_apps[a].name.c_str(),
-                                 schemes[s].name().c_str(),
-                                 (unsigned long long)f.committedTasks,
-                                 round_apps[a].numTasks);
-                }
-                if (f.memStateHash != c.memStateHash ||
-                    f.memStateLines != c.memStateLines) {
-                    ++tally.stateMismatches;
-                    round_state_ok = false;
-                    std::fprintf(
-                        stderr,
-                        "soak: round %u %s/%s memory-state divergence "
-                        "(faulted %016llx/%llu lines vs clean "
-                        "%016llx/%llu)\n  schedule: %s\n",
-                        round, round_apps[a].name.c_str(),
-                        schemes[s].name().c_str(),
-                        (unsigned long long)f.memStateHash,
-                        (unsigned long long)f.memStateLines,
-                        (unsigned long long)c.memStateHash,
-                        (unsigned long long)c.memStateLines,
-                        spec.canonical().c_str());
-                }
-                tally.fold(f.faults);
-                round_injected.nocDelays += f.faults.nocDelays;
-                round_injected.nocStalls += f.faults.nocStalls;
-                round_injected.forcedSpills += f.faults.forcedSpills;
-                round_injected.overflowPressure +=
-                    f.faults.overflowPressure;
-                round_injected.undoStressEvents +=
-                    f.faults.undoStressEvents;
-                round_injected.spuriousSquashes +=
-                    f.faults.spuriousSquashes;
-                round_injected.commitSquashes += f.faults.commitSquashes;
+                tally.check(row,
+                            "round " + std::to_string(round) + " " +
+                                round_apps[a].name + "/" +
+                                schemes[s].name(),
+                            "schedule: " + spec.canonical(),
+                            round_apps[a].numTasks,
+                            faulted[a].outcomes[s].result,
+                            clean[a].outcomes[s].result);
             }
         }
 
+        const fault::FaultCounters &inj = row.injected;
         char injected[96];
         std::snprintf(injected, sizeof(injected),
                       "noc %llu+%llu spill %llu ovf %llu undo %llu "
                       "sq %llu+%llu",
-                      (unsigned long long)round_injected.nocDelays,
-                      (unsigned long long)round_injected.nocStalls,
-                      (unsigned long long)round_injected.forcedSpills,
-                      (unsigned long long)round_injected.overflowPressure,
-                      (unsigned long long)round_injected.undoStressEvents,
-                      (unsigned long long)round_injected.spuriousSquashes,
-                      (unsigned long long)round_injected.commitSquashes);
+                      (unsigned long long)inj.nocDelays,
+                      (unsigned long long)inj.nocStalls,
+                      (unsigned long long)inj.forcedSpills,
+                      (unsigned long long)inj.overflowPressure,
+                      (unsigned long long)inj.undoStressEvents,
+                      (unsigned long long)inj.spuriousSquashes,
+                      (unsigned long long)inj.commitSquashes);
         table.addRow({std::to_string(round),
                       (round % 2 == 0) ? "NUMA-16" : "CMP-8",
-                      spec.canonical(), std::to_string(round_points),
-                      injected, round_state_ok ? "match" : "DIVERGED"});
+                      spec.canonical(), std::to_string(row.points),
+                      injected, row.stateOk ? "match" : "DIVERGED"});
     }
 
     // Synthetic-workload phase: one generated stream per kind on each
@@ -314,59 +346,23 @@ main(int argc, char **argv)
             std::vector<sim::SynthStudy> clean = sim::runSynthSweep(
                 specs, schemes, machine, threads, {});
 
-            unsigned phase_points = 0;
-            fault::FaultCounters phase_injected;
-            bool phase_state_ok = true;
+            SoakPhase row;
             for (std::size_t a = 0; a < specs.size(); ++a) {
                 for (std::size_t s = 0; s < schemes.size(); ++s) {
-                    const tls::RunResult &f =
-                        faulted[a].outcomes[s].result;
-                    const tls::RunResult &c =
-                        clean[a].outcomes[s].result;
-                    ++tally.points;
-                    ++phase_points;
-                    if (f.committedTasks != specs[a].tasks ||
-                        c.committedTasks != specs[a].tasks) {
-                        ++tally.completionFailures;
-                        std::fprintf(
-                            stderr,
-                            "soak: synth %s/%s/%s committed %llu/%u "
-                            "tasks\n",
-                            machine.name.c_str(),
-                            specs[a].name().c_str(),
-                            schemes[s].name().c_str(),
-                            (unsigned long long)f.committedTasks,
-                            specs[a].tasks);
-                    }
-                    if (f.memStateHash != c.memStateHash ||
-                        f.memStateLines != c.memStateLines) {
-                        ++tally.stateMismatches;
-                        phase_state_ok = false;
-                        std::fprintf(
-                            stderr,
-                            "soak: synth %s/%s/%s memory-state "
-                            "divergence\n  spec: %s\n  schedule: %s\n",
-                            machine.name.c_str(),
-                            specs[a].name().c_str(),
-                            schemes[s].name().c_str(),
-                            specs[a].canonical().c_str(),
-                            spec.canonical().c_str());
-                    }
-                    tally.fold(f.faults);
-                    phase_injected.spuriousSquashes +=
-                        f.faults.spuriousSquashes;
-                    phase_injected.commitSquashes +=
-                        f.faults.commitSquashes;
+                    tally.check(row,
+                                "synth " + machine.name + "/" +
+                                    specs[a].name() + "/" +
+                                    schemes[s].name(),
+                                "spec: " + specs[a].canonical() +
+                                    "\n  schedule: " + spec.canonical(),
+                                specs[a].tasks,
+                                faulted[a].outcomes[s].result,
+                                clean[a].outcomes[s].result);
                 }
             }
-            char injected[96];
-            std::snprintf(
-                injected, sizeof(injected), "sq %llu+%llu",
-                (unsigned long long)phase_injected.spuriousSquashes,
-                (unsigned long long)phase_injected.commitSquashes);
             table.addRow({"synth", machine.name, spec.canonical(),
-                          std::to_string(phase_points), injected,
-                          phase_state_ok ? "match" : "DIVERGED"});
+                          std::to_string(row.points), squashCell(row),
+                          row.stateOk ? "match" : "DIVERGED"});
         }
     }
 
@@ -416,68 +412,23 @@ main(int argc, char **argv)
         std::vector<sim::AppStudy> inorder = sim::runStudySweep(
             ooo_apps, schemes, inorder_machine, 1, threads, {});
 
-        unsigned phase_points = 0;
-        fault::FaultCounters phase_injected;
-        bool phase_state_ok = true;
+        SoakPhase row;
         for (std::size_t a = 0; a < ooo_apps.size(); ++a) {
             for (std::size_t s = 0; s < schemes.size(); ++s) {
-                const tls::RunResult &f = faulted[a].outcomes[s].result;
-                const tls::RunResult &c = clean[a].outcomes[s].result;
-                const tls::RunResult &io = inorder[a].outcomes[s].result;
-                ++tally.points;
-                ++phase_points;
-                if (f.committedTasks != ooo_apps[a].numTasks ||
-                    c.committedTasks != ooo_apps[a].numTasks) {
-                    ++tally.completionFailures;
-                    std::fprintf(stderr,
-                                 "soak: ooo %s/%s committed %llu/%u "
-                                 "tasks\n",
-                                 ooo_apps[a].name.c_str(),
-                                 schemes[s].name().c_str(),
-                                 (unsigned long long)f.committedTasks,
-                                 ooo_apps[a].numTasks);
-                }
-                if (f.memStateHash != c.memStateHash ||
-                    f.memStateLines != c.memStateLines) {
-                    ++tally.stateMismatches;
-                    phase_state_ok = false;
-                    std::fprintf(
-                        stderr,
-                        "soak: ooo %s/%s faulted-vs-clean memory-state "
-                        "divergence\n  schedule: %s\n",
-                        ooo_apps[a].name.c_str(),
-                        schemes[s].name().c_str(),
-                        spec.canonical().c_str());
-                }
-                if (c.memStateHash != io.memStateHash ||
-                    c.memStateLines != io.memStateLines) {
-                    ++tally.stateMismatches;
-                    phase_state_ok = false;
-                    std::fprintf(
-                        stderr,
-                        "soak: ooo %s/%s ooo-vs-inorder memory-state "
-                        "divergence (%016llx/%llu vs %016llx/%llu)\n",
-                        ooo_apps[a].name.c_str(),
-                        schemes[s].name().c_str(),
-                        (unsigned long long)c.memStateHash,
-                        (unsigned long long)c.memStateLines,
-                        (unsigned long long)io.memStateHash,
-                        (unsigned long long)io.memStateLines);
-                }
-                tally.fold(f.faults);
-                phase_injected.spuriousSquashes +=
-                    f.faults.spuriousSquashes;
-                phase_injected.commitSquashes +=
-                    f.faults.commitSquashes;
+                tally.check(row,
+                            "ooo " + ooo_apps[a].name + "/" +
+                                schemes[s].name(),
+                            "schedule: " + spec.canonical(),
+                            ooo_apps[a].numTasks,
+                            faulted[a].outcomes[s].result,
+                            clean[a].outcomes[s].result,
+                            &inorder[a].outcomes[s].result,
+                            "ooo-vs-inorder");
             }
         }
-        char injected[96];
-        std::snprintf(injected, sizeof(injected), "sq %llu+%llu",
-                      (unsigned long long)phase_injected.spuriousSquashes,
-                      (unsigned long long)phase_injected.commitSquashes);
         table.addRow({"ooo", "NUMA-16", spec.canonical(),
-                      std::to_string(phase_points), injected,
-                      phase_state_ok ? "match" : "DIVERGED"});
+                      std::to_string(row.points), squashCell(row),
+                      row.stateOk ? "match" : "DIVERGED"});
     }
 
     // Predict+Validate phase: the synthetic suite (whose SquashStorm
@@ -510,73 +461,26 @@ main(int argc, char **argv)
         std::vector<sim::SynthStudy> baseline = sim::runSynthSweep(
             vp_specs, schemes, machine, threads, {});
 
-        unsigned phase_points = 0;
-        fault::FaultCounters phase_injected;
-        bool phase_state_ok = true;
+        SoakPhase row;
         for (std::size_t a = 0; a < vp_specs.size(); ++a) {
             for (std::size_t s = 0; s < schemes.size(); ++s) {
                 const tls::RunResult &f = faulted[a].outcomes[s].result;
                 const tls::RunResult &c = clean[a].outcomes[s].result;
-                const tls::RunResult &b = baseline[a].outcomes[s].result;
-                ++tally.points;
-                ++phase_points;
-                vp_predictions +=
-                    f.counters.get("value_predictions") +
-                    c.counters.get("value_predictions");
-                if (f.committedTasks != vp_specs[a].tasks ||
-                    c.committedTasks != vp_specs[a].tasks) {
-                    ++tally.completionFailures;
-                    std::fprintf(stderr,
-                                 "soak: vp %s/%s committed %llu/%u "
-                                 "tasks\n",
-                                 vp_specs[a].name().c_str(),
-                                 vp_schemes[s].name().c_str(),
-                                 (unsigned long long)f.committedTasks,
-                                 vp_specs[a].tasks);
-                }
-                if (f.memStateHash != c.memStateHash ||
-                    f.memStateLines != c.memStateLines) {
-                    ++tally.stateMismatches;
-                    phase_state_ok = false;
-                    std::fprintf(
-                        stderr,
-                        "soak: vp %s/%s faulted-vs-clean memory-state "
-                        "divergence\n  spec: %s\n  schedule: %s\n",
-                        vp_specs[a].name().c_str(),
-                        vp_schemes[s].name().c_str(),
-                        vp_specs[a].canonical().c_str(),
-                        spec.canonical().c_str());
-                }
-                if (c.memStateHash != b.memStateHash ||
-                    c.memStateLines != b.memStateLines) {
-                    ++tally.stateMismatches;
-                    phase_state_ok = false;
-                    std::fprintf(
-                        stderr,
-                        "soak: vp %s/%s predicted-vs-baseline "
-                        "memory-state divergence (%016llx/%llu vs "
-                        "%016llx/%llu)\n",
-                        vp_specs[a].name().c_str(),
-                        vp_schemes[s].name().c_str(),
-                        (unsigned long long)c.memStateHash,
-                        (unsigned long long)c.memStateLines,
-                        (unsigned long long)b.memStateHash,
-                        (unsigned long long)b.memStateLines);
-                }
-                tally.fold(f.faults);
-                phase_injected.spuriousSquashes +=
-                    f.faults.spuriousSquashes;
-                phase_injected.commitSquashes +=
-                    f.faults.commitSquashes;
+                vp_predictions += f.counters.get("value_predictions") +
+                                  c.counters.get("value_predictions");
+                tally.check(row,
+                            "vp " + vp_specs[a].name() + "/" +
+                                vp_schemes[s].name(),
+                            "spec: " + vp_specs[a].canonical() +
+                                "\n  schedule: " + spec.canonical(),
+                            vp_specs[a].tasks, f, c,
+                            &baseline[a].outcomes[s].result,
+                            "predicted-vs-baseline");
             }
         }
-        char injected[96];
-        std::snprintf(injected, sizeof(injected), "sq %llu+%llu",
-                      (unsigned long long)phase_injected.spuriousSquashes,
-                      (unsigned long long)phase_injected.commitSquashes);
         table.addRow({"vp", "NUMA-16", spec.canonical(),
-                      std::to_string(phase_points), injected,
-                      phase_state_ok ? "match" : "DIVERGED"});
+                      std::to_string(row.points), squashCell(row),
+                      row.stateOk ? "match" : "DIVERGED"});
     }
 
     std::fputs(table.render().c_str(), stdout);

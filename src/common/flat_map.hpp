@@ -3,8 +3,8 @@
  * Open-addressing hash containers for the per-access hot path.
  *
  * The speculative memory system walks several associative structures on
- * every load and store (version-home index, MTID tags, overflow-area
- * tables, undo-log directory). std::unordered_map buys pointer-stable
+ * every load and store (version-home index, MTID tags, violation
+ * records, read sets). std::unordered_map buys pointer-stable
  * nodes at the price of one heap node per entry, a pointer chase per
  * probe and rehash-heavy churn — none of which the simulator needs,
  * because every caller either refetches after structural changes or

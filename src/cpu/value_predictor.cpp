@@ -16,10 +16,6 @@ mix(std::uint64_t z)
 
 } // namespace
 
-// --------------------------------------------------------------------
-// ValuePredictor
-// --------------------------------------------------------------------
-
 void
 ValuePredictor::configure(std::size_t entries, std::uint64_t seed)
 {
@@ -68,75 +64,6 @@ ValuePredictor::train(Addr word, TaskId producer)
     e.word = word;
     e.producer = producer;
     e.conf = kPredictThreshold;
-}
-
-// --------------------------------------------------------------------
-// ValidationLog
-// --------------------------------------------------------------------
-
-std::vector<ValidationEntry> &
-ValidationLog::groupOf(TaskId task)
-{
-    auto [slot, inserted] = slotOf_.emplace(task, 0);
-    if (inserted) {
-        if (!freeSlots_.empty()) {
-            *slot = freeSlots_.back();
-            freeSlots_.pop_back();
-        } else {
-            *slot = std::uint32_t(slabs_.size());
-            slabs_.emplace_back();
-        }
-    }
-    return slabs_[*slot];
-}
-
-void
-ValidationLog::append(TaskId task, const ValidationEntry &entry)
-{
-    groupOf(task).push_back(entry);
-    ++liveEntries_;
-    ++appends_;
-    if (liveEntries_ > peak_)
-        peak_ = liveEntries_;
-}
-
-const std::vector<ValidationEntry> &
-ValidationLog::entriesOf(TaskId task) const
-{
-    static const std::vector<ValidationEntry> kEmpty;
-    const std::uint32_t *slot = slotOf_.find(task);
-    return slot != nullptr ? slabs_[*slot] : kEmpty;
-}
-
-std::size_t
-ValidationLog::countOf(TaskId task) const
-{
-    const std::uint32_t *slot = slotOf_.find(task);
-    return slot != nullptr ? slabs_[*slot].size() : 0;
-}
-
-void
-ValidationLog::dropTask(TaskId task)
-{
-    const std::uint32_t *slot = slotOf_.find(task);
-    if (slot == nullptr)
-        return;
-    std::uint32_t idx = *slot;
-    liveEntries_ -= slabs_[idx].size();
-    slabs_[idx].clear(); // keeps capacity for the recycled slot
-    freeSlots_.push_back(idx);
-    slotOf_.erase(task);
-}
-
-void
-ValidationLog::clear()
-{
-    slotOf_.clear();
-    slabs_.clear();
-    freeSlots_.clear();
-    liveEntries_ = 0;
-    peak_ = 0;
-    appends_ = 0;
 }
 
 } // namespace tlsim::cpu

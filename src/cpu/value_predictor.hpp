@@ -20,9 +20,11 @@
  * which is precisely the false-squash pattern value prediction
  * tolerates and the baseline does not.
  *
- * Both structures are per-processor, allocation-free in steady state
- * (slab/flat storage like mem::UndoLog), and mutated only in simulated
- * event order, so results are byte-identical at any thread count.
+ * The predictor is per-processor, allocation-free once configured,
+ * and mutated only in simulated event order, so results are
+ * byte-identical at any thread count. Each task's predicted reads,
+ * which commit-time validation replays, live in its
+ * tls::TaskFootprint.
  */
 
 #ifndef TLSIM_CPU_VALUE_PREDICTOR_HPP
@@ -31,7 +33,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/flat_map.hpp"
 #include "common/types.hpp"
 
 namespace tlsim::cpu {
@@ -93,55 +94,6 @@ class ValuePredictor
     mutable std::uint64_t lookups_ = 0;
     mutable std::uint64_t predictions_ = 0;
     std::uint64_t trainings_ = 0;
-};
-
-/** One logged prediction: a word consumed speculatively by value. */
-struct ValidationEntry {
-    Addr word = 0;
-    /** Producer whose modeled value the consumer used. */
-    TaskId predictedProducer = kNoTask;
-};
-
-/**
- * Per-processor validation log: every predicted read of an in-flight
- * task, grouped by consumer task, replayed at commit-token acquisition
- * to validate (or squash) the task. Slab arena exactly like
- * mem::UndoLog — a flat TaskId→slot directory over a recycled pool of
- * entry vectors, so steady-state append/validate/drop never allocate.
- */
-class ValidationLog
-{
-  public:
-    void append(TaskId task, const ValidationEntry &entry);
-
-    /** Entries logged by @p task, in append order (empty if none). */
-    const std::vector<ValidationEntry> &entriesOf(TaskId task) const;
-
-    std::size_t countOf(TaskId task) const;
-
-    /** Free @p task's group (validated at commit, or squashed). */
-    void dropTask(TaskId task);
-
-    /** Total live entries across all groups. */
-    std::size_t size() const { return liveEntries_; }
-
-    /** High-water mark of live entries. */
-    std::size_t peakSize() const { return peak_; }
-
-    /** Lifetime appended entries. */
-    std::uint64_t totalAppends() const { return appends_; }
-
-    void clear();
-
-  private:
-    std::vector<ValidationEntry> &groupOf(TaskId task);
-
-    FlatMap<TaskId, std::uint32_t> slotOf_;
-    std::vector<std::vector<ValidationEntry>> slabs_;
-    std::vector<std::uint32_t> freeSlots_;
-    std::size_t liveEntries_ = 0;
-    std::size_t peak_ = 0;
-    std::uint64_t appends_ = 0;
 };
 
 } // namespace tlsim::cpu

@@ -130,7 +130,6 @@ SpeculationEngine::SpeculationEngine(const EngineConfig &cfg,
         l2_.push_back(std::make_unique<mem::VersionedCache>(
             m.l2, cfg_.scheme.multiVersion()));
     }
-    logs_.resize(m.numProcs);
 
     // Fault injection: the plan is engine-local (one RNG set per run,
     // never shared across sweep threads) and each component is only
@@ -140,10 +139,6 @@ SpeculationEngine::SpeculationEngine(const EngineConfig &cfg,
         faults_ = fault::FaultPlan(cfg_.faults);
         if (faults_.nocActive())
             net_->attachFaults(&faults_);
-        if (cfg_.faults.undoStressProb > 0.0) {
-            for (auto &log : logs_)
-                log.attachFaults(&faults_);
-        }
     }
 
     // Predict+Validate: per-processor predictors, index hash seeded
@@ -410,12 +405,12 @@ SpeculationEngine::maybeCommit()
 bool
 SpeculationEngine::validatePredictions(TaskId id, Cycle *cost_out)
 {
-    const auto &entries = vlog_.entriesOf(id);
+    TaskRecord &r = rec(id);
+    const std::vector<ValidationEntry> &entries = r.footprint.predictions;
     if (entries.empty()) {
         *cost_out = 0;
         return true;
     }
-    TaskRecord &r = rec(id);
     ProcId proc = r.proc;
 
     // Re-derive the producer each predicted word would observe now,
@@ -423,7 +418,7 @@ SpeculationEngine::validatePredictions(TaskId id, Cycle *cost_out)
     // simulator carries no data bytes, so a word's value is modeled as
     // a pure function of (word, producer): equal producers mean the
     // predicted and architectural values compare equal.
-    for (const cpu::ValidationEntry &e : entries) {
+    for (const ValidationEntry &e : entries) {
         // Validation entries store word indices: rebuild the byte
         // address.
         TaskId actual = observedProducer(e.word * mem::kWordBytes, id);
@@ -439,17 +434,16 @@ SpeculationEngine::validatePredictions(TaskId id, Cycle *cost_out)
         }
     }
 
-    // All predictions hold: reinforce the predictor and discharge the
-    // log group. The compare pipeline walks the entries one per cycle
-    // pair (read the logged word, compare against memory state).
+    // All predictions hold: reinforce the predictor. The compare
+    // pipeline walks the entries one per cycle pair (read the logged
+    // word, compare against memory state).
     std::size_t n = entries.size();
-    for (const cpu::ValidationEntry &e : entries) {
+    for (const ValidationEntry &e : entries) {
         counters_.inc(sid_.valueValidations);
         TLSIM_TRACE_EVENT(trace::Kind::ValueValidate, proc, id, e.word,
                           r.incarnation);
         predictors_[proc].train(e.word, e.predictedProducer);
     }
-    vlog_.dropTask(id);
     *cost_out = Cycle(2 * n);
     return true;
 }
@@ -572,25 +566,24 @@ SpeculationEngine::finishCommit(TaskId id)
         }
     }
 
-    if (cfg_.scheme.merging == Merging::FMM)
-        logs_[r.proc].dropTask(id);
+    // FMM: the task's history is no longer needed.
+    if (!r.footprint.undo.empty())
+        TLSIM_TRACE_EVENT(trace::Kind::UndoDrop, ~0u, id, 0,
+                          r.footprint.undo.size());
 
     detector_.dropReader(id, r.footprint.readWords);
-    footprintPool_.push_back(std::exchange(r.footprint, {}));
 
-    // Wake MultiT&SV stalls blocked on this task's version.
-    auto it = svWaiters_.find(id);
-    if (it != svWaiters_.end()) {
-        auto waiters = std::move(it->second);
-        svWaiters_.erase(it);
-        for (auto [proc, task] : waiters) {
-            cpu::CoreModel &core = *cores_[proc];
-            if (core.state() == cpu::CoreModel::State::StallStore &&
-                core.currentTask() == task) {
-                core.resumeStall();
-            }
+    // Wake MultiT&SV stalls blocked on this task's version. Nothing
+    // appends to a committed task's waiters, so the list is stable
+    // while the resumed cores run.
+    for (auto [proc, task] : r.footprint.svWaiters) {
+        cpu::CoreModel &core = *cores_[proc];
+        if (core.state() == cpu::CoreModel::State::StallStore &&
+            core.currentTask() == task) {
+            core.resumeStall();
         }
     }
+    footprintPool_.push_back(std::exchange(r.footprint, {}));
 
     ProcId owner = r.proc;
     commitInProgress_ = false;
@@ -749,23 +742,20 @@ SpeculationEngine::performSquash(TaskId first_bad, ProcId writer_proc)
     tasksSquashed_ += squashed.size();
     counters_.inc(sid_.tasksSquashed, squashed.size());
 
-    // Remember owners before cleanup (records are reset by squashOne).
-    std::vector<ProcId> owner(squashed.size());
-    for (std::size_t i = 0; i < squashed.size(); ++i)
-        owner[i] = rec(squashed[i]).proc;
-
     for (TaskId t : squashed)
         squashOne(t);
 
+    // A squashed record keeps its owner and footprint until the task
+    // is dispatched again.
     if (cfg_.scheme.merging == Merging::FMM) {
         // Recovery must replay MHB entries in strict reverse task
         // order across the whole machine: queue descending and let
         // the handlers run one after another.
         for (std::size_t i = squashed.size(); i-- > 0;) {
+            ProcId owner = rec(squashed[i]).proc;
             recoveryQueue_.push_back(squashed[i]);
-            recoveryProc_[squashed[i]] = owner[i];
-            ++recoveryOutstanding_[owner[i]];
-            procInRecovery_[owner[i]] = true;
+            ++recoveryOutstanding_[owner];
+            procInRecovery_[owner] = true;
         }
         std::sort(recoveryQueue_.begin(), recoveryQueue_.end(),
                   std::greater<TaskId>());
@@ -773,9 +763,10 @@ SpeculationEngine::performSquash(TaskId first_bad, ProcId writer_proc)
     } else {
         // AMM: discarding the MROB state is quick, local and can
         // proceed in parallel on every affected processor.
-        for (std::size_t i = 0; i < squashed.size(); ++i) {
-            scheduler_.requeue(squashed[i]);
-            scheduleAmmRecovery(owner[i], cfg_.machine.recoveryPerTask);
+        for (TaskId t : squashed) {
+            scheduler_.requeue(t);
+            scheduleAmmRecovery(rec(t).proc,
+                                cfg_.machine.recoveryPerTask);
         }
         tryDispatchAll();
     }
@@ -809,12 +800,7 @@ SpeculationEngine::squashOne(TaskId id)
     }
 
     detector_.dropReader(id, r.footprint.readWords);
-    if (cfg_.scheme.predictsValues())
-        vlog_.dropTask(id);
-    svWaiters_.erase(id);
-    r.footprint.clear();
     r.state = TaskState::Pending;
-    r.proc = kNoProc;
 }
 
 void
@@ -852,7 +838,8 @@ SpeculationEngine::runRecoveryQueue()
         return;
 
     TaskId id = recoveryQueue_.front();
-    ProcId proc = recoveryProc_.at(id);
+    const TaskRecord &r = rec(id);
+    ProcId proc = r.proc;
     cpu::CoreModel &core = *cores_[proc];
     if (!core.idle()) {
         // The owner is running an unrelated (earlier, unsquashed)
@@ -864,26 +851,32 @@ SpeculationEngine::runRecoveryQueue()
 
     recoveryQueue_.pop_front();
     recoveryActive_ = true;
-    recoveryProc_.erase(id);
 
-    logs_[proc].takeForRecovery(id, recoveryScratch_);
-    const auto &entries = recoveryScratch_;
-    counters_.inc(sid_.recoveryEntriesReplayed, entries.size());
+    // The squashed incarnation's MHB group, left in its footprint.
+    const std::vector<UndoLogEntry> &undo = r.footprint.undo;
+    Cycle stress = 0;
+    if (!undo.empty()) {
+        // Recovery-path stress (slow log-region reads): zero unless
+        // the fault plan enables the undo site.
+        stress = faults_.undoRecoveryStress(undo.size());
+        TLSIM_TRACE_EVENT(trace::Kind::UndoRecover, ~0u, id, 0,
+                          undo.size());
+    }
+    counters_.inc(sid_.recoveryEntriesReplayed, undo.size());
 
-    // Replay: restore each overwritten version to main memory. The
-    // metadata effect is applied now; the handler's time is charged
-    // below.
-    for (const mem::UndoLogEntry &e : entries) {
-        mtid_.set(e.line, e.oldVersion);
-        VersionInfo *v = versions_.find(e.line, e.oldVersion);
-        saveDisplacedHolder(e.line, versions_.restore(e.line, v), proc);
+    // Replay, newest entry first: restore each overwritten version to
+    // main memory. The metadata effect is applied now; the handler's
+    // time is charged below.
+    for (auto e = undo.rbegin(); e != undo.rend(); ++e) {
+        mtid_.set(e->line, e->oldVersion);
+        VersionInfo *v = versions_.find(e->line, e->oldVersion);
+        saveDisplacedHolder(e->line, versions_.restore(e->line, v),
+                            proc);
     }
 
-    // lastRecoveryStress is zero unless a fault plan is attached to
-    // the log (recovery-path stress: slow log-region reads).
     Cycle dur = 100 +
-                Cycle(entries.size()) * cfg_.machine.recoveryPerLogEntry +
-                logs_[proc].lastRecoveryStress();
+                Cycle(undo.size()) * cfg_.machine.recoveryPerLogEntry +
+                stress;
     core.startWorkBlock(dur, CycleKind::RecoveryWork,
                         [this, proc, id]() {
         scheduler_.requeue(id);

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/event_queue.hpp"
@@ -25,7 +24,6 @@
 #include "mem/machine_params.hpp"
 #include "mem/memory_banks.hpp"
 #include "mem/mtid_table.hpp"
-#include "mem/undo_log.hpp"
 #include "noc/interconnect.hpp"
 #include "tls/run_result.hpp"
 #include "tls/scheduler.hpp"
@@ -128,24 +126,24 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
     std::vector<std::unique_ptr<mem::VersionedCache>> l1_;
     std::vector<std::unique_ptr<mem::VersionedCache>> l2_;
     std::unique_ptr<mem::VersionedCache> l3_; // CMP shared
-    /** Per-processor MHB undo logs. They, the MTID table and the
-     *  overflow areas (spilled versions in versions_) grow on demand. */
-    std::vector<mem::UndoLog> logs_;
     /**
-     * Predict+Validate state (empty/idle under validation=None): one
-     * value predictor per processor, seeded from the workload's point
-     * seed, plus the engine-wide per-task validation log. Both are
-     * mutated only in the event queue's total order, so every output
-     * is byte-identical at any thread count.
+     * Predict+Validate predictors (empty under validation=None): one
+     * per processor, seeded from the workload's point seed. Each task's
+     * predicted reads live in its footprint. Both are mutated only in
+     * the event queue's total order, so every output is byte-identical
+     * at any thread count.
      */
     std::vector<cpu::ValuePredictor> predictors_;
-    cpu::ValidationLog vlog_;
 
     // --- speculation state ---
+    /** Grows on demand, as do the overflow areas (spilled versions in
+     *  versions_). */
     mem::MtidTable mtid_;
     VersionMap versions_;
     ViolationDetector detector_;
-    std::vector<TaskRecord> tasks_; // index id-1
+    /** Index id-1. Each record's footprint holds the task's MHB
+     *  group, predicted reads and SV waiters. */
+    std::vector<TaskRecord> tasks_;
     /**
      * Footprint storage released by committed tasks, taken by first
      * dispatches (LIFO): live storage tracks the speculative window,
@@ -165,10 +163,6 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
     /** Finished-but-uncommitted tasks per processor (SingleT gate). */
     std::vector<unsigned> uncommittedFinished_;
 
-    /** MultiT&SV stall waiters: blocking task -> (proc, stalled task). */
-    std::unordered_map<TaskId, std::vector<std::pair<ProcId, TaskId>>>
-        svWaiters_;
-
     /** FMM recovery queue (task IDs, descending) + active flag. */
     std::deque<TaskId> recoveryQueue_;
     bool recoveryActive_ = false;
@@ -179,8 +173,6 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
     /** AMM recovery cycles accumulated while a block is running. */
     std::vector<Cycle> pendingRecovery_;
     std::vector<bool> recoveryBlockActive_;
-    /** Squash-time owner of a task awaiting FMM recovery. */
-    std::unordered_map<TaskId, ProcId> recoveryProc_;
 
     // --- precomputed mappings & reusable scratch ---
     /** proc → NoC node (replaces per-access `% nodes`). */
@@ -193,8 +185,6 @@ class SpeculationEngine : public cpu::SpecMemoryIf,
     std::vector<unsigned> clusterOfNode_;
     /** vclMergeLine displacement scan (was a per-call vector). */
     SmallVec<mem::VersionTag, 8> deadScratch_;
-    /** runRecoveryQueue undo-log drain buffer (reused, reversed). */
-    std::vector<mem::UndoLogEntry> recoveryScratch_;
     /**
      * Lazy AMM final-merge worklists, one per processor: filled by one
      * version-index walk per barrier, sorted and swept by

@@ -469,7 +469,7 @@ SpeculationEngine::loadForTask(ProcId proc, Addr addr, Cycle now,
         // log the prediction for commit-time validation and skip the
         // read record entirely — commit-time compare, not the
         // detector, guards this consumption. Only the first read of a
-        // word by a task may predict (the validation log holds one
+        // word by a task may predict (its predicted reads hold one
         // entry per word); repeats fall through and fill the caches.
         bool vp_eligible = cfg_.scheme.predictsValues() && v &&
                            !v->committed && v->tag.producer != task &&
@@ -479,7 +479,7 @@ SpeculationEngine::loadForTask(ProcId proc, Addr addr, Cycle now,
             TaskRecord &pr = rec(task);
             if (predictors_[proc].predict(word, &predicted) &&
                 pr.footprint.readWords.insert(word)) {
-                vlog_.append(task, {word, predicted});
+                pr.footprint.predictions.push_back({word, predicted});
                 counters_.inc(sid_.valuePredictions);
                 TLSIM_TRACE_EVENT(trace::Kind::ValuePredict, proc,
                                   task, word, pr.incarnation);
@@ -639,7 +639,8 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
         for (auto &vv : *list) {
             if (vv.cacheOwner == proc && !vv.committed &&
                 vv.tag.producer != task) {
-                svWaiters_[vv.tag.producer].push_back({proc, task});
+                rec(vv.tag.producer)
+                    .footprint.svWaiters.push_back({proc, task});
                 counters_.inc(sid_.svStalls);
                 return {0, cpu::StoreStall::SecondVersion, 0};
             }
@@ -666,7 +667,9 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
     if (cfg_.scheme.merging == Merging::FMM) {
         // MHB: save the most recent earlier version before creating
         // our own (Figure 7-c).
-        logs_[proc].append(task, {line, prev_tag});
+        r.footprint.undo.push_back({line, prev_tag});
+        TLSIM_TRACE_EVENT(trace::Kind::UndoAppend, ~0u, task, line,
+                          prev_tag.producer);
         counters_.inc(sid_.logAppends);
         if (prev)
             versions_.parkInMhb(line, *prev, proc);
@@ -682,7 +685,7 @@ SpeculationEngine::specStore(ProcId proc, Addr addr, Cycle now)
 
     VersionInfo &nv = versions_.create(line, my_tag, proc);
     nv.writeMask = bit;
-    r.noteDirtyLine(line);
+    r.footprint.dirtyLines.push_back(line);
 
     Cycle lat = fill;
     if (cfg_.scheme.isAmm() && versions_.spilledBy(proc) > 0) {

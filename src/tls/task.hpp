@@ -8,6 +8,7 @@
 #define TLSIM_TLS_TASK_HPP
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/flat_map.hpp"
@@ -28,15 +29,40 @@ enum class TaskState : std::uint8_t {
 const char *taskStateName(TaskState s);
 
 /**
- * Footprint storage of one task's current incarnation. It lives only
- * while the task is speculative: the engine hands a recycled one out
- * at first dispatch and takes it back at commit, so set capacity is
- * reused across tasks instead of regrowing from empty for each.
+ * One MHB record of an FMM task (the ULOG support of Table 1): the
+ * version of a line that the task's first store to it overwrote. See
+ * Figure 7-(c) of the paper.
+ */
+struct UndoLogEntry {
+    Addr line = 0;
+    /** Producer of the version that was overwritten. */
+    mem::VersionTag oldVersion = mem::VersionTag::arch();
+};
+
+/** One Predict+Validate record: a word consumed speculatively by value. */
+struct ValidationEntry {
+    /** Word index (byte address / kWordBytes). */
+    Addr word = 0;
+    /** Producer whose modeled value the consumer used. */
+    TaskId predictedProducer = kNoTask;
+};
+
+/**
+ * Footprint storage of one task's current incarnation: every piece of
+ * speculative state that belongs to the task alone. It lives while the
+ * task is speculative and, after a squash, until the task is
+ * dispatched again (FMM recovery replays its MHB group from here).
+ * The engine hands a recycled one out at first dispatch and takes it
+ * back at commit, so capacity is reused across tasks instead of
+ * regrowing from empty for each.
  */
 struct TaskFootprint {
-    /** Lines with a version produced by the current incarnation. */
+    /**
+     * Lines with a version produced by the current incarnation. A
+     * store notes its line only when it creates the task's version of
+     * it, so the entries are distinct.
+     */
     std::vector<Addr> dirtyLines;
-    FlatSet<Addr> dirtyLineSet;
     /** Distinct words read (read-set; violation-record cleanup). */
     FlatSet<Addr> readWords;
     /**
@@ -48,15 +74,29 @@ struct TaskFootprint {
      */
     FlatSet<Addr> writtenWords;
     std::uint64_t privWords = 0;
+    /**
+     * FMM: the task's MHB group, in append order — one entry per line
+     * the incarnation created a version of. Dropped at commit; replayed
+     * newest first by the recovery handler after a squash.
+     */
+    std::vector<UndoLogEntry> undo;
+    /** Predict+Validate: predicted reads, checked at commit-token
+     *  acquisition (one per word: a predicted word joins readWords). */
+    std::vector<ValidationEntry> predictions;
+    /** MultiT&SV: (proc, stalled task) pairs waiting for this task's
+     *  versions to commit. */
+    std::vector<std::pair<ProcId, TaskId>> svWaiters;
 
     void
     clear()
     {
         dirtyLines.clear();
-        dirtyLineSet.clear();
         readWords.clear();
         writtenWords.clear();
         privWords = 0;
+        undo.clear();
+        predictions.clear();
+        svWaiters.clear();
     }
 };
 
@@ -93,13 +133,6 @@ struct TaskRecord {
     isSpeculativeState() const
     {
         return state == TaskState::Running || state == TaskState::Finished;
-    }
-
-    void
-    noteDirtyLine(Addr line)
-    {
-        if (footprint.dirtyLineSet.insert(line))
-            footprint.dirtyLines.push_back(line);
     }
 };
 

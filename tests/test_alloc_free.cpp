@@ -23,9 +23,9 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "mem/mtid_table.hpp"
-#include "mem/undo_log.hpp"
 #include "sim/result_cache.hpp"
 #include "sim/study.hpp"
+#include "tls/task.hpp"
 #include "tls/version_map.hpp"
 #include "tls/violation_detector.hpp"
 
@@ -235,12 +235,14 @@ constexpr unsigned kAccessProcs = 16;
  * Replays the engine's per-access container traffic on the memory-state
  * structures as the engine composes them: every access probes the
  * version home index (the specLoad visibility query); a quarter are
- * stores that hit their own version or create one (undo-log append
+ * stores that hit their own version or create one (MHB-group append
  * plus sorted version insert); a slice are L2 evictions that either
  * write back through the MTID check or spill through the version map;
  * and a sliding window of in-flight tasks retires in order, committing
  * (group drop) or squashing (MHB recovery replay into the MTID table),
- * and either way removes its versions, spilled or not.
+ * and either way removes its versions, spilled or not. Per-task state
+ * (MHB group, dirty lines, read/write sets) lives in per-slot storage
+ * recycled across the window, as task footprints are in the engine.
  *
  * The footprint is bounded by construction — at most two versions per
  * line (so VersionList stays inline) and a fixed task window — so the
@@ -249,7 +251,6 @@ constexpr unsigned kAccessProcs = 16;
 struct AccessDriver {
     tls::VersionMap vmap{tls::Merging::FMM};
     mem::MtidTable mtid;
-    mem::UndoLog undo;
     tls::ViolationDetector det;
     std::vector<FlatSet<Addr>> readWords{kAccessWindow};
     std::vector<FlatSet<Addr>> writtenWords{kAccessWindow};
@@ -260,7 +261,8 @@ struct AccessDriver {
     std::uint32_t sinceRetire = 0;
     std::uint32_t rr = 0; // round-robin reader cursor
     std::vector<std::vector<Addr>> dirty{kAccessWindow};
-    std::vector<mem::UndoLogEntry> recovery;
+    std::vector<std::vector<tls::UndoLogEntry>> undo{kAccessWindow};
+    std::uint64_t appends = 0;
     std::uint64_t spills = 0;
 
     /**
@@ -275,18 +277,14 @@ struct AccessDriver {
     {
         constexpr std::uint32_t kPerTask = kAccessOpsPerRetire + 16;
         const TaskId scratchTask = TaskId(1) << 30;
-        recovery.reserve(kPerTask);
         for (auto &v : dirty)
+            v.reserve(kPerTask);
+        for (auto &v : undo)
             v.reserve(kPerTask);
         for (auto &s : readWords)
             s.reserve(kPerTask);
         for (auto &s : writtenWords)
             s.reserve(kPerTask);
-        for (TaskId t = 1; t <= TaskId(kAccessWindow); ++t) {
-            for (std::uint32_t i = 0; i < kPerTask; ++i)
-                undo.append(t, mem::UndoLogEntry{});
-            undo.dropTask(t);
-        }
         // Violation-word table: warm to the hard bound of concurrently
         // live entries (kAccessWindow tasks times kPerTask each), via a
         // throwaway word set.
@@ -350,7 +348,8 @@ struct AccessDriver {
             } else if (vmap.versionsOf(line).size() < 2) {
                 // versionsOf/create may grow the index: list and own
                 // are dead past this point.
-                undo.append(reader, {line, prevTag});
+                undo[slot].push_back({line, prevTag});
+                ++appends;
                 vmap.create(line, tag, ProcId(reader % kAccessProcs))
                     .writeMask = bit;
                 dirty[slot].push_back(line);
@@ -379,13 +378,12 @@ struct AccessDriver {
         const TaskId t = oldest++;
         const std::size_t slot = slotOf(t);
         const mem::VersionTag tag{t, 1};
+        std::vector<tls::UndoLogEntry> &group = undo[slot];
         if (rng.below(8) == 0) { // squash: replay the MHB group
-            undo.takeForRecovery(t, recovery);
-            for (const mem::UndoLogEntry &e : recovery)
-                mtid.set(e.line, e.oldVersion);
-        } else { // commit: free the group
-            undo.dropTask(t);
+            for (auto e = group.rbegin(); e != group.rend(); ++e)
+                mtid.set(e->line, e->oldVersion);
         }
+        group.clear(); // commit frees it; recovery has drained it
         for (Addr l : dirty[slot])
             vmap.remove(l, tag);
         dirty[slot].clear();
@@ -407,11 +405,11 @@ TEST(AllocFree, MemoryStateAccessPath)
     AccessDriver d;
     constexpr long kOps = 300'000;
     d.run(kOps); // warm every table and slab to steady-state capacity
-    const std::uint64_t appends = d.undo.totalAppends();
+    const std::uint64_t appends = d.appends;
     const std::uint64_t spills = d.spills;
     const long long allocs = allocationsDuring([&] { d.run(kOps); });
     // The window created versions and spilled some of them.
-    EXPECT_GT(d.undo.totalAppends(), appends);
+    EXPECT_GT(d.appends, appends);
     EXPECT_GT(d.spills, spills);
     EXPECT_EQ(allocs, 0);
 }

@@ -7,13 +7,12 @@
 
 #include <gtest/gtest.h>
 
-#include "scripted_workload.hpp"
 #include "tls/engine.hpp"
+#include "tls/scripted_workload.hpp"
 
 using namespace tlsim;
 using namespace tlsim::tls;
 using cpu::Op;
-using test::ScriptedWorkload;
 
 namespace {
 

@@ -5,13 +5,13 @@
 
 #include <gtest/gtest.h>
 
-#include "scripted_workload.hpp"
+#include "common/trace.hpp"
 #include "tls/engine.hpp"
+#include "tls/scripted_workload.hpp"
 
 using namespace tlsim;
 using namespace tlsim::tls;
 using cpu::Op;
-using test::ScriptedWorkload;
 
 namespace {
 
@@ -112,9 +112,30 @@ TEST(Squash, FmmRecoveryReplaysTheUndoLog)
         return tasks;
     };
     RunResult amm = run(make(), Merging::EagerAMM);
+    trace::reset();
+    trace::Options opts;
+    opts.mask = trace::kMaskAudit;
+    trace::start(opts);
     RunResult fmm = run(make(), Merging::FMM);
+    trace::stop();
+    trace::TraceFile file = trace::drainFile();
+    trace::reset();
     ASSERT_EQ(fmm.squashEvents, 1u);
-    EXPECT_GT(fmm.counters.get("recovery_entries_replayed"), 0u);
+    ASSERT_EQ(fmm.tasksSquashed, 1u);
+    // Recovery replays one MHB entry per version the squashed first
+    // incarnation of the consumer created (its 32 stores span 4 lines)...
+    std::uint64_t squashed_versions = 0;
+    for (const trace::Record &r : file.records) {
+        if (trace::Kind(r.kind) == trace::Kind::VersionCreate &&
+            r.task == 2 && r.arg == 1)
+            ++squashed_versions;
+    }
+    EXPECT_EQ(squashed_versions, 4u);
+    EXPECT_EQ(fmm.counters.get("recovery_entries_replayed"),
+              squashed_versions);
+    // ...and the undo records (append, recover, drop) audit clean.
+    trace::AuditReport report = trace::audit(file);
+    EXPECT_TRUE(report.ok()) << report.summary();
     // FMM recovery (software handler, log replay) costs more than
     // AMM's discard (Section 3.3.4).
     EXPECT_GT(fmm.total.get(CycleKind::RecoveryWork),

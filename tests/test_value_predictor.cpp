@@ -1,9 +1,8 @@
 /**
  * @file
  * Unit tests for the Predict+Validate machinery: the per-processor
- * last-value (last-producer) predictor, the slab-backed validation
- * log, and determinism of Predict+Validate runs across sweep-thread
- * counts.
+ * last-value (last-producer) predictor and determinism of
+ * Predict+Validate runs across sweep-thread counts.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +13,6 @@
 #include "tls/engine.hpp"
 
 using namespace tlsim;
-using cpu::ValidationEntry;
-using cpu::ValidationLog;
 using cpu::ValuePredictor;
 
 TEST(ValuePredictor, ColdTableNeverPredicts)
@@ -112,48 +109,6 @@ TEST(ValuePredictor, SeedSelectsIndependentIndexStreams)
     }
     EXPECT_TRUE(saw_alias);
     EXPECT_TRUE(saw_disjoint);
-}
-
-TEST(ValidationLog, AppendsGroupByTaskInOrder)
-{
-    ValidationLog log;
-    log.append(5, {0x100, 2});
-    log.append(9, {0x200, 3});
-    log.append(5, {0x101, 2});
-    ASSERT_EQ(log.countOf(5), 2u);
-    ASSERT_EQ(log.countOf(9), 1u);
-    EXPECT_EQ(log.countOf(7), 0u);
-    const std::vector<ValidationEntry> &five = log.entriesOf(5);
-    EXPECT_EQ(five[0].word, 0x100u);
-    EXPECT_EQ(five[1].word, 0x101u);
-    EXPECT_EQ(five[1].predictedProducer, 2u);
-    EXPECT_EQ(log.size(), 3u);
-    EXPECT_EQ(log.totalAppends(), 3u);
-}
-
-TEST(ValidationLog, DropRecyclesSlabs)
-{
-    ValidationLog log;
-    for (TaskId t = 1; t <= 8; ++t)
-        for (int i = 0; i < 4; ++i)
-            log.append(t, {Addr(t * 16 + i), t - 1});
-    EXPECT_EQ(log.size(), 32u);
-    EXPECT_EQ(log.peakSize(), 32u);
-    for (TaskId t = 1; t <= 8; ++t)
-        log.dropTask(t);
-    EXPECT_EQ(log.size(), 0u);
-    // A second generation of tasks reuses the recycled groups: the
-    // high-water mark must not grow past the first generation's.
-    for (TaskId t = 9; t <= 16; ++t)
-        for (int i = 0; i < 4; ++i)
-            log.append(t, {Addr(t * 16 + i), t - 1});
-    EXPECT_EQ(log.size(), 32u);
-    EXPECT_EQ(log.peakSize(), 32u);
-    EXPECT_EQ(log.totalAppends(), 64u);
-    EXPECT_EQ(log.countOf(1), 0u);
-    EXPECT_EQ(log.countOf(16), 4u);
-    log.clear();
-    EXPECT_EQ(log.size(), 0u);
 }
 
 namespace {

@@ -8,9 +8,9 @@
  *   build/tools/tlsim_serve --cache-dir=.tlsim-cache [--cache-verify=P]
  *                           [--threads=N]
  *
- * Without --cache-dir (or TLSIM_CACHE in the environment) the service
- * still works but recomputes every point — caching is the point, so a
- * banner warns. tools/sweep_client.py is the reference client.
+ * Without --cache-dir the service still works but recomputes every
+ * point — caching is the point, so a banner warns.
+ * tools/sweep_client.py is the reference client.
  */
 
 #include <cstdio>
@@ -46,8 +46,6 @@ main(int argc, char **argv)
     using namespace tlsim;
 
     std::string cache_dir;
-    if (const char *env = std::getenv("TLSIM_CACHE"))
-        cache_dir = env;
     double verify_fraction = 0.0;
     sim::ServeOptions opts;
 
@@ -84,7 +82,7 @@ main(int argc, char **argv)
                      verify_fraction > 0 ? " (verifying hits)" : "");
     } else {
         std::fprintf(stderr,
-                     "tlsim_serve: no --cache-dir/TLSIM_CACHE — every "
+                     "tlsim_serve: no --cache-dir — every "
                      "point will be recomputed\n");
     }
 
